@@ -34,7 +34,7 @@
 //! Run with `cargo bench -p aidx-bench --bench bench_snapshot`.
 
 use aidx_bench::{ms, print_table, scaled_params};
-use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_core::{CompactionPolicy, ConcurrentCracker, Count, LatchProtocol, Sum};
 use aidx_storage::generate_unique_shuffled;
 use std::time::{Duration, Instant};
 
@@ -68,8 +68,8 @@ fn run_arm(
     let expected_sum: i128 = values.iter().map(|&v| v as i128).sum();
     let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_compaction(policy);
     // Warm cracks so the churn works against a refined index.
-    idx.sum(0, rows as i64 / 2);
-    idx.sum(rows as i64 / 4, rows as i64);
+    idx.read::<Sum>(0, rows as i64 / 2, None);
+    idx.read::<Sum>(rows as i64 / 4, rows as i64, None);
 
     // Pin one snapshot across the whole stream: it must stay answerable
     // and exact no matter how many compaction events pass it by.
@@ -98,7 +98,7 @@ fn run_arm(
             // a closed form — the oracle gate.
             let scan_start = Instant::now();
             let snap = idx.snapshot();
-            let (sum, _) = snap.sum(i64::MIN, i64::MAX);
+            let (sum, _) = snap.read::<Sum>(i64::MIN, i64::MAX);
             scan_times.push(scan_start.elapsed());
             assert_eq!(
                 sum, expected_sum,
@@ -116,11 +116,15 @@ fn run_arm(
     // The pinned snapshot read the whole stream's worth of compaction
     // events ago — it must still answer exactly at its epoch.
     assert_eq!(
-        pinned.sum(i64::MIN, i64::MAX).0,
+        pinned.read::<Sum>(i64::MIN, i64::MAX).0,
         expected_sum,
         "{label}: the stream-long pinned snapshot diverged from the frozen oracle"
     );
-    assert_eq!(pinned.count(i64::MIN, i64::MAX).0, rows as u64, "{label}");
+    assert_eq!(
+        pinned.read::<Count>(i64::MIN, i64::MAX).0,
+        rows as u64,
+        "{label}"
+    );
     drop(pinned);
 
     let threshold = policy.max_delta_rows.unwrap_or(0);

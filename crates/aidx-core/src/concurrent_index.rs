@@ -22,11 +22,13 @@
 //! * **System transactions** (Sections 3.3–3.4): every query's refinement is
 //!   wrapped in an instantly-committing system transaction whose outcome
 //!   (complete, early-terminated, abandoned) is tracked.
-//! * **Aggregation under read latches**: sums hold a read latch per piece
-//!   while scanning it; counts over fully-cracked bounds need no data access
-//!   at all. Values never cross crack boundaries, so scanning piece by piece
-//!   and releasing each read latch before the next preserves correctness
-//!   while maximising concurrency.
+//! * **Reads under read latches**: every read — count, sum, rowid set or
+//!   key runs, live or at a snapshot epoch — is one shape-generic
+//!   [`ConcurrentCracker::read`]. It holds a read latch per piece while
+//!   collecting that piece; counts over fully-cracked bounds need no data
+//!   access at all. Values never cross crack boundaries, so collecting
+//!   piece by piece and releasing each read latch before the next
+//!   preserves correctness while maximising concurrency.
 //!
 //! # Bounded deltas: compaction and piece shrinking
 //!
@@ -59,11 +61,11 @@
 //!   main count. Holes are reclaimed for good by the next compaction.
 
 use crate::compaction::{CompactionMode, CompactionPolicy};
-use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::pending::PendingDelta;
 use crate::piece_registry::{OperationGuard, PieceLatchRegistry};
-use crate::protocol::{Aggregate, LatchProtocol, RefinementPolicy};
+use crate::protocol::{LatchProtocol, RefinementPolicy};
+use crate::read::{ColumnIndex, Count, ReadShape};
 use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;
 use aidx_cracking::{Piece, PieceLookup, PieceMap};
@@ -311,26 +313,10 @@ impl Snapshot<'_> {
         self.epoch
     }
 
-    /// Q1 at the snapshot epoch: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        self.idx.count_at(low, high, self.epoch)
-    }
-
-    /// Q2 at the snapshot epoch: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.idx.sum_at(low, high, self.epoch)
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot epoch (sorted ascending).
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.idx.select_rowids_at(low, high, self.epoch)
-    }
-
-    /// As [`Snapshot::rowids`], but materialised as a compressed
-    /// [`RowIdSet`] built from per-piece sorted runs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.idx.select_rowid_set_at(low, high, self.epoch)
+    /// Reads `[low, high)` in shape `S` as of the snapshot epoch:
+    /// [`ConcurrentCracker::read`] pinned at this handle's epoch.
+    pub fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
+        self.idx.read::<S>(low, high, Some(self.epoch))
     }
 }
 
@@ -629,17 +615,87 @@ impl ConcurrentCracker {
         self.systxn.stats()
     }
 
-    /// Q1: count of values in `[low, high)`, refining the index as a side
-    /// effect. Returns the count and the query's metrics breakdown.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (v, m) = self.run_query(low, high, Aggregate::Count, None);
-        (v as u64, m)
+    /// Reads `[low, high)` in shape `S` — [`Count`], [`Sum`](crate::Sum),
+    /// [`RowIdSet`] or [`KeyRuns`](crate::KeyRuns) — refining the index as a side effect,
+    /// and returns the typed answer with the read's metrics breakdown.
+    ///
+    /// This is the index's one read path. The plan phase resolves both
+    /// bounds into cracks under the latch protocol (or, under conflict
+    /// avoidance, settles for a conservative range filtered under read
+    /// latches). The main phase collects the shape's contribution piece by
+    /// piece under read latches, skipping dead hole tails; a count over
+    /// exactly resolved bounds is positional and touches no data. The
+    /// pending delta is folded in live, or as of snapshot epoch `at`
+    /// (which must be registered: see [`ConcurrentCracker::snapshot`]).
+    /// The (main phase, delta snapshot) pair is validated against the
+    /// shrink-epoch seqlock and re-read on a racing reclamation. Physical
+    /// reorganisation never changes an answer: every row carries its id
+    /// through every swap.
+    pub fn read<S: ReadShape>(
+        &self,
+        low: i64,
+        high: i64,
+        at: Option<u64>,
+    ) -> (S::Output, QueryMetrics) {
+        let start = Instant::now();
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let mut metrics = QueryMetrics::default();
+        if low >= high {
+            metrics.total = start.elapsed();
+            return (S::Output::default(), metrics);
+        }
+        // Register with the quiesce gate for the whole operation: positions
+        // resolved by the plan phase stay valid because no compaction can
+        // rebuild the array underneath us.
+        let out = {
+            let _op = self.enter_if_compactable();
+            let plan = (!self.data.is_empty()).then(|| match self.protocol {
+                LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
+                LatchProtocol::Column | LatchProtocol::None => {
+                    self.plan_column(low, high, &mut metrics)
+                }
+            });
+            // Fold in the pending delta: logical contents are always
+            // `live main + pending inserts − tombstones` (at the snapshot
+            // epoch, for snapshot reads). The main multiset changes only
+            // through epoch-stamped reclamations (piece shrinks and
+            // incremental hole-fills), so a (main phase, delta snapshot)
+            // pair taken at one stable epoch is consistent; on an epoch
+            // change, re-read — bounds are already cracks, so a retry is a
+            // cheap re-scan. Retries are bounded: past the cap the read
+            // pauses reclamations outright and finishes in one pass.
+            let mut failures = 0u32;
+            loop {
+                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
+                let epoch = self.seq_read_epoch();
+                let mut attempt = QueryMetrics::default();
+                let main = match plan {
+                    Some(plan) => self.main_phase::<S>(plan, low, high, &mut attempt),
+                    None => S::Main::default(),
+                };
+                let delta = S::delta(&self.delta, low, high, at);
+                if self.seq_read_valid(epoch, paused.is_some()) {
+                    metrics.accumulate(&attempt);
+                    break S::fold(main, delta, &mut metrics);
+                }
+                // A reclamation raced the read: keep the failed attempt's
+                // latch timing honest, discard what it collected, and retry.
+                failures += 1;
+                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
+                emit(TraceEvent::SnapshotRetry { attempt: failures });
+                metrics.wait_time += attempt.wait_time;
+                metrics.aggregate_time += attempt.aggregate_time;
+                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
+            }
+        };
+        metrics.total = start.elapsed();
+        (out, metrics)
     }
 
-    /// Q2: sum of values in `[low, high)`, refining the index as a side
-    /// effect. Returns the sum and the query's metrics breakdown.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.run_query(low, high, Aggregate::Sum, None)
+    /// Q1 at the current epoch: [`ConcurrentCracker::read`] in shape
+    /// [`Count`].
+    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
+        self.read::<Count>(low, high, None)
     }
 
     /// Opens a snapshot at the current column epoch. Reads through the
@@ -677,73 +733,6 @@ impl ConcurrentCracker {
     /// The current column epoch (advanced by every insert/delete).
     pub fn current_epoch(&self) -> u64 {
         self.delta.current_epoch()
-    }
-
-    /// Q1 as of snapshot `epoch` (which must be registered; see
-    /// [`ConcurrentCracker::register_snapshot_epoch`]).
-    pub fn count_at(&self, low: i64, high: i64, epoch: u64) -> (u64, QueryMetrics) {
-        let (v, m) = self.run_query(low, high, Aggregate::Count, Some(epoch));
-        (v as u64, m)
-    }
-
-    /// Q2 as of snapshot `epoch` (which must be registered).
-    pub fn sum_at(&self, low: i64, high: i64, epoch: u64) -> (i128, QueryMetrics) {
-        self.run_query(low, high, Aggregate::Sum, Some(epoch))
-    }
-
-    /// Row ids of every live row whose value falls in `[low, high)`,
-    /// sorted ascending, refining the index as a side effect exactly like
-    /// a count/sum query. This is the rowid-set read a table engine
-    /// intersects across columns for multi-column conjunctive selections:
-    /// physical reorganisation (cracks, shrinks, compaction steps, full
-    /// rebuilds) never changes the answer, because every row carries its
-    /// id through every swap.
-    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.run_rowid_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_rowids`], frozen at snapshot `epoch`
-    /// (which must be registered): rows inserted or physically placed
-    /// after the epoch are invisible, rows deleted or reclaimed after it
-    /// are restored (ghosts).
-    pub fn select_rowids_at(&self, low: i64, high: i64, epoch: u64) -> (Vec<RowId>, QueryMetrics) {
-        self.run_rowid_query(low, high, Some(epoch))
-    }
-
-    /// As [`ConcurrentCracker::select_rowids`], but materialised as a
-    /// block-compressed [`RowIdSet`]: each piece the read visits yields one
-    /// sorted run, and the runs (pieces are position-disjoint, so the runs
-    /// are rowid-disjoint) are k-way merged straight into the delta
-    /// encoder — no flat `Vec<RowId>` of the whole candidate set exists at
-    /// any point. `metrics.candidate_set_bytes` records the compressed
-    /// footprint.
-    pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.run_rowid_set_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_rowid_set`], frozen at snapshot
-    /// `epoch` (which must be registered).
-    pub fn select_rowid_set_at(&self, low: i64, high: i64, epoch: u64) -> (RowIdSet, QueryMetrics) {
-        self.run_rowid_set_query(low, high, Some(epoch))
-    }
-
-    /// Live `(key, rowid)` pairs of `[low, high)` as lazily-merged
-    /// [`KeyRuns`]: each piece the read visits contributes one *raw* run
-    /// (its physical pair order, typically unsorted within the piece), and
-    /// no run is sorted here. Sorting is deferred to the consumer's
-    /// [`KeyRunsIter`](crate::key_runs::KeyRunsIter), which only pays for a
-    /// run when the merge frontier actually reaches its key envelope — the
-    /// substrate of the gallop equi-join, where seeks discard whole
-    /// off-frontier runs unsorted. Refines the index as a side effect
-    /// exactly like any other read.
-    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        self.run_key_runs_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_key_runs`], frozen at snapshot
-    /// `epoch` (which must be registered).
-    pub fn select_key_runs_at(&self, low: i64, high: i64, epoch: u64) -> (KeyRuns, QueryMetrics) {
-        self.run_key_runs_query(low, high, Some(epoch))
     }
 
     /// Inserts one row with the given key, self-assigning a fresh row id.
@@ -900,10 +889,9 @@ impl ConcurrentCracker {
             Some(next) => self.force_bound(next, metrics),
             None => self.data.len(),
         };
-        self.collect_pairs(a, b, None, metrics)
-            .into_iter()
-            .map(|(_, rowid)| rowid)
-            .collect()
+        // An exact plan never filters, so the filter bounds are moot.
+        self.main_phase::<RowIdSet>(MainPlan::Exact { start: a, end: b }, value, value, metrics)
+            .concat()
     }
 
     /// Ensures a crack exists at `bound` under the active latch protocol,
@@ -951,353 +939,42 @@ impl ConcurrentCracker {
     /// progress even under a pathological stream of reclaiming writers.
     const SEQLOCK_RETRY_CAP: u32 = 3;
 
-    fn run_query(
+    /// Collects one read attempt's main-array contribution in shape `S`
+    /// according to its plan, holding the latches the protocol prescribes
+    /// — piece read latches one piece at a time, or the column read latch
+    /// — and skipping each piece's dead hole tail. Safe to call repeatedly
+    /// (seqlock retries): it only reads.
+    fn main_phase<S: ReadShape>(
         &self,
+        plan: MainPlan,
         low: i64,
         high: i64,
-        agg: Aggregate,
-        at: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (0, metrics);
-        }
-        // Register with the quiesce gate for the whole operation: positions
-        // resolved by the plan phase stay valid because no compaction can
-        // rebuild the array underneath us.
-        let (main, adjust) = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            // Fold in the pending delta: logical contents are always
-            // `live main + pending inserts − tombstones` (at the snapshot
-            // epoch, for snapshot reads). The main multiset changes only
-            // through epoch-stamped reclamations (piece shrinks and
-            // incremental hole-fills), so a (main phase, delta snapshot)
-            // pair taken at one stable epoch is consistent; on an epoch
-            // change, re-read — bounds are already cracks, so a retry is a
-            // cheap re-scan. Retries are bounded: past the cap the read
-            // pauses reclamations outright and finishes in one pass.
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let main = match plan {
-                    Some(plan) => self.aggregate_main(plan, low, high, agg, &mut attempt),
-                    None => 0,
-                };
-                let adjust = match at {
-                    Some(snapshot_epoch) => self.delta.adjust_at(low, high, snapshot_epoch),
-                    None => self.delta.adjust(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    break (main, adjust);
-                }
-                // A reclamation raced the read: keep the failed attempt's
-                // latch timing honest, discard its counts, and retry.
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        let result = match agg {
-            Aggregate::Count => main + adjust.insert_count as i128 - adjust.tombstone_count as i128,
-            Aggregate::Sum => main + adjust.insert_sum - adjust.tombstone_sum,
-        };
-        metrics.total = start.elapsed();
-        metrics.result_count = match agg {
-            Aggregate::Count => result as u64,
-            Aggregate::Sum => {
-                (metrics.result_count + adjust.insert_count).saturating_sub(adjust.tombstone_count)
-            }
-        };
-        (result, metrics)
-    }
-
-    /// The rowid twin of [`ConcurrentCracker::run_query`]: same plan phase
-    /// (both bounds refined, or a conservative filtered range under
-    /// conflict avoidance), same shrink-epoch seqlock around the
-    /// (main read, delta view) pair, but the main phase *collects* the
-    /// qualifying `(value, rowid)` pairs under the protocol's read latches
-    /// and the delta contributes a [`crate::pending::RowidView`] instead
-    /// of count adjustments.
-    fn run_rowid_query(&self, low: i64, high: i64, at: Option<u64>) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (Vec::new(), metrics);
-        }
-        let rows = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let pairs = match plan {
-                    Some(MainPlan::Exact { start, end }) => {
-                        self.collect_pairs(start, end, None, &mut attempt)
-                    }
-                    Some(MainPlan::Filtered { start, end }) => {
-                        self.collect_pairs(start, end, Some((low, high)), &mut attempt)
-                    }
-                    None => Vec::new(),
-                };
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.rowid_view_at(low, high, snapshot_epoch),
-                    None => self.delta.rowid_view(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    let mut rows: Vec<RowId> = pairs
-                        .into_iter()
-                        .filter(|(_, rowid)| !view.hidden.contains(rowid))
-                        .map(|(_, rowid)| rowid)
-                        .collect();
-                    rows.extend(view.extra);
-                    rows.sort_unstable();
-                    break rows;
-                }
-                // A reclamation raced the read: keep the failed attempt's
-                // latch timing honest, discard its rows, and retry.
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        metrics.result_count = rows.len() as u64;
-        metrics.total = start.elapsed();
-        (rows, metrics)
-    }
-
-    /// The compressed-set twin of [`ConcurrentCracker::run_rowid_query`]:
-    /// same plan phase and shrink-epoch seqlock, but each visited piece
-    /// contributes one *sorted run* of row ids (minus the delta view's
-    /// hidden rows), the delta's extra rows form one more run, and
-    /// [`RowIdSet::from_runs`] k-way merges the runs straight into the
-    /// block-delta encoder.
-    fn run_rowid_set_query(
-        &self,
-        low: i64,
-        high: i64,
-        at: Option<u64>,
-    ) -> (RowIdSet, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (RowIdSet::default(), metrics);
-        }
-        let set = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let mut runs: Vec<Vec<RowId>> = Vec::new();
-                {
-                    let sink = |pairs: Vec<(i64, RowId)>| {
-                        runs.push(pairs.into_iter().map(|(_, rowid)| rowid).collect())
-                    };
-                    match plan {
-                        Some(MainPlan::Exact { start, end }) => {
-                            self.collect_piece_runs(start, end, None, &mut attempt, sink)
-                        }
-                        Some(MainPlan::Filtered { start, end }) => self.collect_piece_runs(
-                            start,
-                            end,
-                            Some((low, high)),
-                            &mut attempt,
-                            sink,
-                        ),
-                        None => {}
-                    }
-                }
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.rowid_view_at(low, high, snapshot_epoch),
-                    None => self.delta.rowid_view(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    for run in &mut runs {
-                        if !view.hidden.is_empty() {
-                            run.retain(|rowid| !view.hidden.contains(rowid));
-                        }
-                        run.sort_unstable();
-                    }
-                    let mut extra = view.extra;
-                    extra.sort_unstable();
-                    runs.push(extra);
-                    break RowIdSet::from_runs(runs);
-                }
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        metrics.result_count = set.len() as u64;
-        metrics.candidate_set_bytes = set.heap_bytes() as u64;
-        metrics.total = start.elapsed();
-        (set, metrics)
-    }
-
-    /// The join-side twin of [`ConcurrentCracker::run_rowid_set_query`]:
-    /// same plan phase and shrink-epoch seqlock, but each visited piece's
-    /// `(key, rowid)` batch is kept as one raw [`KeyRuns`] run — never
-    /// sorted here — while the delta view's hidden rows are filtered out
-    /// of every run and its extra rows (pending inserts / snapshot ghosts)
-    /// form one additional, pre-sorted run.
-    fn run_key_runs_query(&self, low: i64, high: i64, at: Option<u64>) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (KeyRuns::default(), metrics);
-        }
-        let key_runs = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let mut runs: Vec<Vec<(i64, RowId)>> = Vec::new();
-                {
-                    let sink = |pairs: Vec<(i64, RowId)>| runs.push(pairs);
-                    match plan {
-                        Some(MainPlan::Exact { start, end }) => {
-                            self.collect_piece_runs(start, end, None, &mut attempt, sink)
-                        }
-                        Some(MainPlan::Filtered { start, end }) => self.collect_piece_runs(
-                            start,
-                            end,
-                            Some((low, high)),
-                            &mut attempt,
-                            sink,
-                        ),
-                        None => {}
-                    }
-                }
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.pair_view_at(low, high, snapshot_epoch),
-                    None => self.delta.pair_view(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    let mut out = KeyRuns::default();
-                    for mut run in runs {
-                        if !view.hidden.is_empty() {
-                            run.retain(|(_, rowid)| !view.hidden.contains(rowid));
-                        }
-                        out.push_run(run);
-                    }
-                    let mut extra = view.extra;
-                    extra.sort_unstable();
-                    out.push_run(extra);
-                    break out;
-                }
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        metrics.result_count = key_runs.total_rows() as u64;
-        metrics.total = start.elapsed();
-        (key_runs, metrics)
-    }
-
-    /// Collects the live `(value, rowid)` pairs of `[start, end)` (a
-    /// union of whole pieces), holding the latches the active protocol
-    /// prescribes — piece read latches one piece at a time, or the column
-    /// read latch — and skipping each piece's dead hole tail. `filter`
-    /// carries the original query bounds when refinement was skipped and
-    /// exact filtering is required.
-    fn collect_pairs(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
         metrics: &mut QueryMetrics,
-    ) -> Vec<(i64, RowId)> {
-        let mut out = Vec::new();
-        self.collect_piece_runs(start, end, filter, metrics, |pairs| out.extend(pairs));
-        out
-    }
-
-    /// The piece walk under [`ConcurrentCracker::collect_pairs`], with the
-    /// destination abstracted: `sink` receives each visited piece's live
-    /// pairs as one batch, so callers can either flatten them (the legacy
-    /// pair vector) or keep per-piece runs (the compressed-set encoder).
-    fn collect_piece_runs(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        metrics: &mut QueryMetrics,
-        mut sink: impl FnMut(Vec<(i64, RowId)>),
-    ) {
+    ) -> S::Main {
+        let (start, end, filter) = match plan {
+            MainPlan::Exact { start, end } => (start, end, None),
+            MainPlan::Filtered { start, end } => (start, end, Some((low, high))),
+        };
+        let mut main = S::Main::default();
         if start >= end {
-            return;
+            return main;
+        }
+        // A fully-resolved count is purely positional: range width minus
+        // the dead slots recorded in the hole ledger, no data access — and
+        // no toc lock at all in the common hole-free state (a racing
+        // shrink that invalidates the lock-free probe is caught by the
+        // caller's epoch validation).
+        if filter.is_none() {
+            let positional = S::positional(|| {
+                if self.hole_rows.load(Ordering::Acquire) == 0 {
+                    (end - start) as u64
+                } else {
+                    (end - start - self.lock_toc().holes_in(start, end)) as u64
+                }
+            });
+            if let Some(main) = positional {
+                return main;
+            }
         }
         match self.protocol {
             LatchProtocol::Piece => {
@@ -1312,13 +989,9 @@ impl ConcurrentCracker {
                         guard.outcome().wait_time(),
                         guard.outcome().contended(),
                     );
-                    let (piece_end, live_end) = {
-                        let toc = self.lock_toc();
-                        let piece_end = toc.piece_end_after(pos).min(end);
-                        (piece_end, toc.live_end(pos, piece_end))
-                    };
+                    let (piece_end, live_end) = self.piece_span(pos, end);
                     let agg_start = Instant::now();
-                    sink(self.read_pairs(pos, live_end, filter));
+                    S::collect(&self.data, pos, live_end, filter, &mut main);
                     metrics.aggregate_time += agg_start.elapsed();
                     drop(guard);
                     pos = piece_end;
@@ -1337,34 +1010,36 @@ impl ConcurrentCracker {
                     g
                 });
                 let agg_start = Instant::now();
-                let mut pos = start;
-                while pos < end {
-                    let (piece_end, live_end) = {
-                        let toc = self.lock_toc();
-                        let piece_end = toc.piece_end_after(pos).min(end);
-                        (piece_end, toc.live_end(pos, piece_end))
-                    };
-                    sink(self.read_pairs(pos, live_end, filter));
-                    pos = piece_end;
+                // The hole layout is frozen while we hold the column read
+                // latch (shrinks run only under the column *write* latch),
+                // so one probe decides between a single-span scan and the
+                // hole-skipping piece walk. `[start, end)` is a union of
+                // whole pieces, so the range-scoped probe is exact.
+                let hole_free = self.hole_rows.load(Ordering::Acquire) == 0
+                    || self.lock_toc().holes_in(start, end) == 0;
+                if S::WHOLE_RANGE && hole_free {
+                    S::collect(&self.data, start, end, filter, &mut main);
+                } else {
+                    let mut pos = start;
+                    while pos < end {
+                        let (piece_end, live_end) = self.piece_span(pos, end);
+                        S::collect(&self.data, pos, live_end, filter, &mut main);
+                        pos = piece_end;
+                    }
                 }
                 metrics.aggregate_time += agg_start.elapsed();
                 drop(guard);
             }
         }
+        main
     }
 
-    /// One piece's live pairs, optionally filtered by the original query
-    /// bounds. Caller holds latches covering the range.
-    fn read_pairs(
-        &self,
-        start: usize,
-        live_end: usize,
-        filter: Option<(i64, i64)>,
-    ) -> Vec<(i64, RowId)> {
-        match filter {
-            None => self.data.pairs_in_range(start, live_end),
-            Some((low, high)) => self.data.pairs_filtered(start, live_end, low, high),
-        }
+    /// The piece starting at `pos`, clipped to `end`: `(piece end, live
+    /// end)`, where the live end excludes the piece's dead hole tail.
+    fn piece_span(&self, pos: usize, end: usize) -> (usize, usize) {
+        let toc = self.lock_toc();
+        let piece_end = toc.piece_end_after(pos).min(end);
+        (piece_end, toc.live_end(pos, piece_end))
     }
 
     /// Locks the table of contents, tracked at dcheck level `Toc`
@@ -1428,51 +1103,6 @@ impl ConcurrentCracker {
                 return epoch;
             }
             std::thread::yield_now();
-        }
-    }
-
-    /// Aggregates one query's main-array contribution according to its
-    /// plan. Safe to call repeatedly (seqlock retries): it only reads.
-    fn aggregate_main(
-        &self,
-        plan: MainPlan,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-    ) -> i128 {
-        let (start, end, filter) = match plan {
-            MainPlan::Exact { start, end } => (start, end, None),
-            MainPlan::Filtered { start, end } => (start, end, Some((low, high))),
-        };
-        if start >= end {
-            return 0;
-        }
-        // A fully-resolved count is purely positional: range width minus
-        // the dead slots recorded in the hole ledger, no data access — and
-        // no toc lock at all in the common hole-free state (a racing
-        // shrink that invalidates the lock-free probe is caught by the
-        // caller's epoch validation).
-        if filter.is_none() && agg == Aggregate::Count {
-            let count = if self.hole_rows.load(Ordering::Acquire) == 0 {
-                (end - start) as u64
-            } else {
-                let toc = self.lock_toc();
-                (end - start - toc.holes_in(start, end)) as u64
-            };
-            metrics.result_count += count;
-            return count as i128;
-        }
-        match self.protocol {
-            LatchProtocol::Piece => self.walk_aggregate(start, end, filter, agg, metrics),
-            LatchProtocol::Column | LatchProtocol::None => self.aggregate_column(
-                start,
-                end,
-                filter,
-                agg,
-                metrics,
-                self.protocol != LatchProtocol::None,
-            ),
         }
     }
 
@@ -1596,98 +1226,6 @@ impl ConcurrentCracker {
             });
         }
         (pos, true)
-    }
-
-    fn aggregate_column(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-        latched: bool,
-    ) -> i128 {
-        let guard = if latched {
-            let g = self.column_latch.acquire_read();
-            Self::note_wait(
-                metrics,
-                TraceEvent::COLUMN_LATCH,
-                LatchMode::Read,
-                g.outcome().wait_time(),
-                g.outcome().contended(),
-            );
-            Some(g)
-        } else {
-            None
-        };
-        let agg_start = Instant::now();
-        // The hole layout is frozen while we hold the column read latch
-        // (shrinks run only under the column *write* latch), so one probe
-        // decides between the single-pass scan and the hole-skipping walk.
-        // `[start, end)` is a union of whole pieces, so the range-scoped
-        // probe is exact: holes elsewhere in the array don't matter here.
-        let any_holes =
-            self.hole_rows.load(Ordering::Acquire) != 0 && self.lock_toc().holes_in(start, end) > 0;
-        let (count, acc) = if any_holes {
-            self.scan_pieces(start, end, filter, agg)
-        } else {
-            self.aggregate_range(start, end, filter, agg)
-        };
-        metrics.aggregate_time += agg_start.elapsed();
-        drop(guard);
-        metrics.result_count += count;
-        match agg {
-            Aggregate::Count => count as i128,
-            Aggregate::Sum => acc,
-        }
-    }
-
-    /// Aggregates one contiguous, hole-free live range: `(qualifying row
-    /// count, sum)`. The single definition the column scan, the piece
-    /// walk, and the hole-skipping scan all dispatch through. Caller holds
-    /// latches covering the range.
-    fn aggregate_range(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-    ) -> (u64, i128) {
-        match (agg, filter) {
-            (Aggregate::Count, None) => ((end - start) as u64, 0),
-            (Aggregate::Count, Some((lo, hi))) => (self.data.count_filtered(start, end, lo, hi), 0),
-            (Aggregate::Sum, None) => ((end - start) as u64, self.data.sum_range(start, end)),
-            (Aggregate::Sum, Some((lo, hi))) => (
-                self.data.count_filtered(start, end, lo, hi),
-                self.data.sum_filtered(start, end, lo, hi),
-            ),
-        }
-    }
-
-    /// Piece-by-piece scan of `[start, end)` (whole pieces) that skips each
-    /// piece's dead tail. Caller holds latches covering the range.
-    fn scan_pieces(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-    ) -> (u64, i128) {
-        let mut count = 0u64;
-        let mut acc = 0i128;
-        let mut pos = start;
-        while pos < end {
-            let (piece_end, live_end) = {
-                let toc = self.lock_toc();
-                let piece_end = toc.piece_end_after(pos).min(end);
-                (piece_end, toc.live_end(pos, piece_end))
-            };
-            let (c, a) = self.aggregate_range(pos, live_end, filter, agg);
-            count += c;
-            acc += a;
-            pos = piece_end;
-        }
-        (count, acc)
     }
 
     // ----- piece-latch protocol -------------------------------------------
@@ -1927,51 +1465,6 @@ impl ConcurrentCracker {
         }
         self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
         (new_live_end, moved)
-    }
-
-    /// Aggregates over `[start, end)` piece by piece, holding each piece's
-    /// read latch only while scanning it (and skipping each piece's dead
-    /// tail). `filter` carries the original query bounds when refinement
-    /// was skipped and exact filtering is required.
-    fn walk_aggregate(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-    ) -> i128 {
-        let mut acc: i128 = 0;
-        let mut count: u64 = 0;
-        let mut pos = start;
-        while pos < end {
-            let latch = self.registry.latch_for(pos);
-            let guard = latch.acquire_read();
-            Self::note_wait(
-                metrics,
-                pos as u64,
-                LatchMode::Read,
-                guard.outcome().wait_time(),
-                guard.outcome().contended(),
-            );
-            let (piece_end, live_end) = {
-                let toc = self.lock_toc();
-                let piece_end = toc.piece_end_after(pos).min(end);
-                (piece_end, toc.live_end(pos, piece_end))
-            };
-            let agg_start = Instant::now();
-            let (c, a) = self.aggregate_range(pos, live_end, filter, agg);
-            count += c;
-            acc += a;
-            metrics.aggregate_time += agg_start.elapsed();
-            drop(guard);
-            pos = piece_end;
-        }
-        metrics.result_count += count;
-        match agg {
-            Aggregate::Count => count as i128,
-            Aggregate::Sum => acc,
-        }
     }
 
     /// Records one latch acquisition's wait into the metrics and, for
@@ -2735,9 +2228,32 @@ impl ConcurrentCracker {
     }
 }
 
+impl ColumnIndex for ConcurrentCracker {
+    fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
+        ConcurrentCracker::read::<S>(self, low, high, None)
+    }
+
+    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        ConcurrentCracker::insert_row(self, value, rowid)
+    }
+
+    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        ConcurrentCracker::delete_row(self, value, rowid)
+    }
+
+    fn check_invariants(&self) -> bool {
+        ConcurrentCracker::check_invariants(self)
+    }
+
+    fn structure_probe(&self) -> StructureProbe {
+        ConcurrentCracker::structure_probe(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read::Sum;
     use aidx_storage::ops;
     use std::sync::Arc;
     use std::thread;
@@ -2766,7 +2282,7 @@ mod tests {
                     ops::count(&values, low, high),
                     "{protocol} count [{low},{high})"
                 );
-                let (s, _) = idx.sum(low, high);
+                let (s, _) = idx.read::<Sum>(low, high, None);
                 assert_eq!(
                     s,
                     ops::sum(&values, low, high),
@@ -2802,7 +2318,7 @@ mod tests {
     fn sum_metrics_include_aggregation_time() {
         let values = shuffled(2000);
         let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
-        let (s, m) = idx.sum(0, 2000);
+        let (s, m) = idx.read::<Sum>(0, 2000, None);
         assert_eq!(s, ops::sum(&values, 0, 2000));
         assert_eq!(m.result_count, 2000);
         assert!(m.aggregate_time > Duration::ZERO);
@@ -2814,7 +2330,7 @@ mod tests {
             let idx = ConcurrentCracker::from_values(shuffled(100), protocol);
             assert_eq!(idx.count(50, 50).0, 0);
             assert_eq!(idx.count(70, 20).0, 0);
-            assert_eq!(idx.sum(70, 20).0, 0);
+            assert_eq!(idx.read::<Sum>(70, 20, None).0, 0);
             let idx = ConcurrentCracker::from_values(vec![], protocol);
             assert_eq!(idx.count(0, 10).0, 0);
         }
@@ -2881,7 +2397,7 @@ mod tests {
                         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let b = (seed >> 17) as i64 % n as i64;
                         let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                        let (s, _) = idx.sum(low, high);
+                        let (s, _) = idx.read::<Sum>(low, high, None);
                         assert_eq!(s, ops::sum(&values, low, high), "{protocol} [{low},{high})");
                     }
                 }));
@@ -2917,7 +2433,7 @@ mod tests {
                     let (low, high) = if a <= b { (a, b) } else { (b, a) };
                     let (c, _) = idx.count(low, high);
                     assert_eq!(c, ops::count(&values, low, high), "[{low},{high})");
-                    let (s, _) = idx.sum(low, high);
+                    let (s, _) = idx.read::<Sum>(low, high, None);
                     assert_eq!(s, ops::sum(&values, low, high), "[{low},{high})");
                 }
             }));
@@ -2938,9 +2454,9 @@ mod tests {
     fn piece_count_grows_and_piece_sizes_shrink() {
         let values = shuffled(5000);
         let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
-        let (_, m1) = idx.sum(1000, 4000);
-        let (_, m2) = idx.sum(2000, 3000);
-        let (_, m3) = idx.sum(2200, 2800);
+        let (_, m1) = idx.read::<Sum>(1000, 4000, None);
+        let (_, m2) = idx.read::<Sum>(2000, 3000, None);
+        let (_, m3) = idx.read::<Sum>(2200, 2800, None);
         // Later queries refine ever smaller pieces, so their crack times
         // cannot exceed the first query's by much; what must hold strictly
         // is that the piece count grows and repeat bounds are reused.
@@ -2948,7 +2464,7 @@ mod tests {
         assert_eq!(m1.cracks_performed, 2);
         assert_eq!(m2.cracks_performed, 2);
         assert_eq!(m3.cracks_performed, 2);
-        let (_, m_repeat) = idx.sum(2200, 2800);
+        let (_, m_repeat) = idx.read::<Sum>(2200, 2800, None);
         assert_eq!(m_repeat.cracks_performed, 0);
     }
 
@@ -2978,12 +2494,12 @@ mod tests {
     fn latch_stats_reflect_activity() {
         let values = shuffled(1000);
         let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
-        idx.sum(100, 900);
+        idx.read::<Sum>(100, 900, None);
         let stats = idx.latch_stats();
         assert!(stats.write_acquisitions >= 2);
         assert!(stats.read_acquisitions >= 1);
         let idx_col = ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Column);
-        idx_col.sum(100, 900);
+        idx_col.read::<Sum>(100, 900, None);
         let stats = idx_col.latch_stats();
         assert!(stats.write_acquisitions >= 1);
         assert!(stats.read_acquisitions >= 1);
@@ -2995,7 +2511,7 @@ mod tests {
             let values = shuffled(2000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
             // Warm the index with a query, then mutate.
-            idx.sum(100, 900);
+            idx.read::<Sum>(100, 900, None);
             let m = idx.insert(150);
             assert_eq!(m.inserts_applied, 1);
             idx.insert(150);
@@ -3017,7 +2533,7 @@ mod tests {
                     "{protocol} count [{low},{high})"
                 );
                 assert_eq!(
-                    idx.sum(low, high).0,
+                    idx.read::<Sum>(low, high, None).0,
                     ops::sum(&oracle, low, high),
                     "{protocol} sum [{low},{high})"
                 );
@@ -3050,7 +2566,7 @@ mod tests {
             idx.insert(7);
             idx.insert(7);
             assert_eq!(idx.count(0, 10).0, 3, "{protocol}");
-            assert_eq!(idx.sum(0, 10).0, 17, "{protocol}");
+            assert_eq!(idx.read::<Sum>(0, 10, None).0, 17, "{protocol}");
             assert_eq!(idx.delete(7).0, 2, "{protocol}");
             assert_eq!(idx.count(0, 10).0, 1, "{protocol}");
             assert_eq!(idx.logical_len(), 1);
@@ -3093,7 +2609,7 @@ mod tests {
                     let doomed = (t * 50 + i) as i64; // distinct initial value
                     assert_eq!(idx.delete(doomed).0, 1);
                     // Interleaved reads must never panic or corrupt.
-                    idx.sum(0, n as i64 / 2);
+                    idx.read::<Sum>(0, n as i64 / 2, None);
                     idx.count(doomed, doomed + 1);
                 }
             }));
@@ -3107,7 +2623,7 @@ mod tests {
         oracle.extend(n as i64..(n + 200) as i64);
         assert_eq!(idx.count(i64::MIN, i64::MAX).0, oracle.len() as u64);
         assert_eq!(
-            idx.sum(i64::MIN, i64::MAX).0,
+            idx.read::<Sum>(i64::MIN, i64::MAX, None).0,
             oracle.iter().map(|&v| v as i128).sum::<i128>()
         );
         assert_eq!(idx.logical_len(), oracle.len() as u64);
@@ -3121,8 +2637,8 @@ mod tests {
         for protocol in protocols() {
             let values = shuffled(2000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
-            idx.sum(200, 1500);
-            idx.sum(600, 900);
+            idx.read::<Sum>(200, 1500, None);
+            idx.read::<Sum>(600, 900, None);
             let pieces_before = idx.piece_count();
             for i in 0..50 {
                 idx.insert(3000 + i);
@@ -3152,7 +2668,7 @@ mod tests {
                     "{protocol} count [{low},{high}) after compaction"
                 );
                 assert_eq!(
-                    idx.sum(low, high).0,
+                    idx.read::<Sum>(low, high, None).0,
                     ops::sum(&oracle, low, high),
                     "{protocol} sum [{low},{high}) after compaction"
                 );
@@ -3171,7 +2687,7 @@ mod tests {
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(THRESHOLD));
             assert_eq!(idx.compaction_policy(), CompactionPolicy::rows(THRESHOLD));
-            idx.sum(100, 800);
+            idx.read::<Sum>(100, 800, None);
             let mut oracle = values.clone();
             let mut max_delta = 0;
             for i in 0..1000i64 {
@@ -3200,7 +2716,7 @@ mod tests {
                 "{protocol}: delta must stay bounded by the threshold, saw {max_delta}"
             );
             assert_eq!(
-                idx.sum(0, 20_000).0,
+                idx.read::<Sum>(0, 20_000, None).0,
                 ops::sum(&oracle, 0, 20_000),
                 "{protocol}"
             );
@@ -3251,7 +2767,7 @@ mod tests {
                     "{protocol} count [{low},{high}) with holes"
                 );
                 assert_eq!(
-                    idx.sum(low, high).0,
+                    idx.read::<Sum>(low, high, None).0,
                     ops::sum(&oracle, low, high),
                     "{protocol} sum [{low},{high}) with holes"
                 );
@@ -3281,7 +2797,7 @@ mod tests {
         assert_eq!(idx.delete(42).0, 4);
         idx.insert(42); // back as a pending insert
         assert_eq!(idx.count(42, 43).0, 1);
-        assert_eq!(idx.sum(40, 45).0, {
+        assert_eq!(idx.read::<Sum>(40, 45, None).0, {
             let mut oracle = values.clone();
             oracle.retain(|&v| v != 42);
             oracle.push(42);
@@ -3307,7 +2823,7 @@ mod tests {
             );
             assert!(idx.len() >= 4, "{protocol}: main array materialised");
             assert_eq!(idx.count(0, 10).0, 5, "{protocol}");
-            assert_eq!(idx.sum(0, 10).0, 23, "{protocol}");
+            assert_eq!(idx.read::<Sum>(0, 10, None).0, 23, "{protocol}");
             assert_eq!(idx.delete(1).0, 2, "{protocol}");
             assert_eq!(idx.logical_len(), 3, "{protocol}");
             assert!(idx.check_invariants(), "{protocol}");
@@ -3335,7 +2851,7 @@ mod tests {
                         idx.insert(key);
                         let doomed = (t * 50 + i) as i64;
                         assert_eq!(idx.delete(doomed).0, 1);
-                        idx.sum(0, n as i64 / 2);
+                        idx.read::<Sum>(0, n as i64 / 2, None);
                         idx.count(doomed, doomed + 1);
                     }
                 }));
@@ -3352,7 +2868,7 @@ mod tests {
                 "{protocol}"
             );
             assert_eq!(
-                idx.sum(i64::MIN, i64::MAX).0,
+                idx.read::<Sum>(i64::MIN, i64::MAX, None).0,
                 oracle.iter().map(|&v| v as i128).sum::<i128>(),
                 "{protocol}"
             );
@@ -3372,10 +2888,10 @@ mod tests {
         for protocol in protocols() {
             let values = shuffled(2000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
-            idx.sum(100, 900);
+            idx.read::<Sum>(100, 900, None);
             idx.insert(150);
             let (count_then, _) = idx.count(0, 3000);
-            let (sum_then, _) = idx.sum(0, 3000);
+            let (sum_then, _) = idx.read::<Sum>(0, 3000, None);
             let snap = idx.snapshot();
             assert_eq!(idx.live_snapshots(), 1, "{protocol}");
             // Writes after the snapshot are invisible through it.
@@ -3383,8 +2899,8 @@ mod tests {
             idx.insert(2500);
             idx.delete(150);
             idx.delete(700);
-            assert_eq!(snap.count(0, 3000).0, count_then, "{protocol}");
-            assert_eq!(snap.sum(0, 3000).0, sum_then, "{protocol}");
+            assert_eq!(snap.read::<Count>(0, 3000).0, count_then, "{protocol}");
+            assert_eq!(snap.read::<Sum>(0, 3000).0, sum_then, "{protocol}");
             // The live view moved on.
             let mut oracle = values.clone();
             oracle.push(2500);
@@ -3401,7 +2917,7 @@ mod tests {
         for protocol in protocols() {
             let values = shuffled(1500);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
-            idx.sum(200, 1200);
+            idx.read::<Sum>(200, 1200, None);
             let snap = idx.snapshot();
             // Deletes reclaim their rows on the spot (piece shrinking) and
             // a forced full compaction rebuilds the array — the pinned
@@ -3415,12 +2931,12 @@ mod tests {
             assert!(idx.compact(), "{protocol}");
             for (low, high) in [(0, 1500), (90, 110), (499, 501), (0, 6000)] {
                 assert_eq!(
-                    snap.count(low, high).0,
+                    snap.read::<Count>(low, high).0,
                     ops::count(&values, low, high),
                     "{protocol} snapshot count [{low},{high}) after compaction"
                 );
                 assert_eq!(
-                    snap.sum(low, high).0,
+                    snap.read::<Sum>(low, high).0,
                     ops::sum(&values, low, high),
                     "{protocol} snapshot sum [{low},{high}) after compaction"
                 );
@@ -3439,7 +2955,7 @@ mod tests {
         for protocol in protocols() {
             let values = shuffled(2000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
-            idx.sum(0, 2000);
+            idx.read::<Sum>(0, 2000, None);
             // Churn: deletes carve holes, re-inserts of the same keys go
             // pending. Steps must reconcile them in place — no rebuild.
             let mut oracle = values.clone();
@@ -3484,7 +3000,7 @@ mod tests {
             let values = shuffled(3000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(THRESHOLD).incremental(4));
-            idx.sum(0, 3000);
+            idx.read::<Sum>(0, 3000, None);
             let oracle = values.clone();
             let mut max_delta = 0;
             for i in 0..1500i64 {
@@ -3513,7 +3029,11 @@ mod tests {
                 0,
                 "{protocol}: churn delta merges in place, no quiescing rebuild"
             );
-            assert_eq!(idx.sum(0, 3000).0, ops::sum(&oracle, 0, 3000), "{protocol}");
+            assert_eq!(
+                idx.read::<Sum>(0, 3000, None).0,
+                ops::sum(&oracle, 0, 3000),
+                "{protocol}"
+            );
             assert!(idx.check_invariants(), "{protocol}");
         }
     }
@@ -3524,7 +3044,7 @@ mod tests {
         // only be kept by the quiescing final fixup.
         let idx = ConcurrentCracker::from_values(shuffled(500), LatchProtocol::Piece)
             .with_compaction(CompactionPolicy::rows(32).incremental(4));
-        idx.sum(0, 500);
+        idx.read::<Sum>(0, 500, None);
         let mut max_delta = 0;
         for i in 0..200 {
             idx.insert(10_000 + i);
@@ -3543,7 +3063,7 @@ mod tests {
     fn compacted_through_watermark_advances() {
         let values = shuffled(1000);
         let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
-        idx.sum(200, 800);
+        idx.read::<Sum>(200, 800, None);
         assert_eq!(idx.compacted_through(), 0, "no writes yet");
         for key in [100, 300, 500] {
             idx.delete(key);
@@ -3575,7 +3095,7 @@ mod tests {
     #[test]
     fn incomplete_piece_merges_do_not_overstate_the_watermark() {
         let idx = ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Piece);
-        idx.sum(0, 1000);
+        idx.read::<Sum>(0, 1000, None);
         // One hole, three pending inserts for the same key: a full lap of
         // steps can place only one row, so the key's piece is not fully
         // reconciled and the column watermark must not reach the epoch of
@@ -3609,7 +3129,7 @@ mod tests {
             let values = shuffled(2000);
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(1_000_000).incremental(4));
-            idx.sum(0, 2000);
+            idx.read::<Sum>(0, 2000, None);
             // Pre-snapshot churn so the snapshot epoch is non-trivial.
             idx.delete(10);
             idx.insert(10);
@@ -3628,12 +3148,12 @@ mod tests {
             assert!(steps >= 3);
             for (low, high) in [(0, 2000), (150, 250), (599, 601), (0, 20_000)] {
                 assert_eq!(
-                    snap.count(low, high).0,
+                    snap.read::<Count>(low, high).0,
                     ops::count(&oracle_at, low, high),
                     "{protocol} pinned count [{low},{high})"
                 );
                 assert_eq!(
-                    snap.sum(low, high).0,
+                    snap.read::<Sum>(low, high).0,
                     ops::sum(&oracle_at, low, high),
                     "{protocol} pinned sum [{low},{high})"
                 );
@@ -3646,7 +3166,7 @@ mod tests {
     #[test]
     fn many_interleaved_snapshots_read_their_own_epochs() {
         let idx = ConcurrentCracker::from_values(shuffled(500), LatchProtocol::Piece);
-        idx.sum(0, 500);
+        idx.read::<Sum>(0, 500, None);
         let baseline = idx.count(0, 500).0;
         let s1 = idx.snapshot();
         idx.insert(100);
@@ -3655,9 +3175,13 @@ mod tests {
         idx.delete(100); // removes the seeded row + both pending
         let s3 = idx.snapshot();
         idx.insert(100);
-        assert_eq!(s1.count(0, 500).0, baseline);
-        assert_eq!(s2.count(0, 500).0, baseline + 1);
-        assert_eq!(s3.count(0, 500).0, baseline - 1, "delete removed 3 rows");
+        assert_eq!(s1.read::<Count>(0, 500).0, baseline);
+        assert_eq!(s2.read::<Count>(0, 500).0, baseline + 1);
+        assert_eq!(
+            s3.read::<Count>(0, 500).0,
+            baseline - 1,
+            "delete removed 3 rows"
+        );
         assert_eq!(idx.count(0, 500).0, baseline);
         drop(s2);
         drop(s1);
@@ -3679,7 +3203,7 @@ mod tests {
                 ConcurrentCracker::from_values(values.clone(), protocol)
                     .with_compaction(CompactionPolicy::rows(24).incremental(4)),
             );
-            idx.sum(0, n as i64);
+            idx.read::<Sum>(0, n as i64, None);
             let total = n as u64;
             let mut handles = Vec::new();
             for t in 0..2u64 {
@@ -3702,14 +3226,14 @@ mod tests {
                         // half-applied (delete landed, re-insert not yet).
                         // Each writer has at most one such pair in flight,
                         // so the pinned total is within 2 of the seed.
-                        let (c, _) = snap.count(i64::MIN, i64::MAX);
+                        let (c, _) = snap.read::<Count>(i64::MIN, i64::MAX);
                         assert!(
                             total - 2 <= c && c <= total,
                             "pinned total {c} drifted from {total}"
                         );
                         // And it is *stable*: re-reading the same snapshot
                         // during further churn returns the same answer.
-                        assert_eq!(snap.count(i64::MIN, i64::MAX).0, c);
+                        assert_eq!(snap.read::<Count>(i64::MIN, i64::MAX).0, c);
                     }
                 }));
             }
@@ -3723,6 +3247,11 @@ mod tests {
     }
 
     // ----- rowid-preserving reads and positional deletes -------------------
+
+    /// A live rowid read, decoded to a sorted vector.
+    fn rowids(idx: &ConcurrentCracker, low: i64, high: i64) -> Vec<RowId> {
+        idx.read::<RowIdSet>(low, high, None).0.to_vec()
+    }
 
     /// Oracle for rowid reads: the rowids of `rows` whose value is in
     /// `[low, high)`, sorted.
@@ -3747,9 +3276,9 @@ mod tests {
         for protocol in protocols() {
             let idx = ConcurrentCracker::from_values(values.clone(), protocol);
             for (low, high) in [(10, 2500), (100, 200), (0, 3000), (2999, 3000), (50, 40)] {
-                let (got, m) = idx.select_rowids(low, high);
+                let (got, m) = idx.read::<RowIdSet>(low, high, None);
                 let expected = rowid_oracle(&rows, low, high);
-                assert_eq!(got, expected, "{protocol} rowids [{low},{high})");
+                assert_eq!(got.to_vec(), expected, "{protocol} rowids [{low},{high})");
                 assert_eq!(m.result_count, expected.len() as u64);
             }
             // Rowid reads refine the index like any other query.
@@ -3773,9 +3302,9 @@ mod tests {
                 .collect();
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(16).incremental(2));
-            idx.sum(100, 1500); // crack
-                                // Inserts get fresh self-assigned ids continuing after the
-                                // base rows.
+            // Crack; then inserts get fresh self-assigned ids continuing
+            // after the base rows.
+            idx.read::<Sum>(100, 1500, None);
             idx.insert(2500);
             rows.push((2500, 2000));
             idx.insert(2500);
@@ -3792,7 +3321,7 @@ mod tests {
             assert!(idx.compact(), "forced rebuild");
             for (low, high) in [(0, 2000), (600, 800), (2400, 3100), (0, 4000)] {
                 assert_eq!(
-                    idx.select_rowids(low, high).0,
+                    rowids(&idx, low, high),
                     rowid_oracle(&rows, low, high),
                     "{protocol} rowids [{low},{high}) after reorganisation"
                 );
@@ -3811,7 +3340,7 @@ mod tests {
             assert_eq!(removed, 1, "{protocol}");
             assert_eq!(m.deletes_applied, 1);
             assert_eq!(
-                idx.select_rowids(42, 43).0,
+                rowids(&idx, 42, 43),
                 vec![1, 4],
                 "{protocol}: rows 1 and 4 survive"
             );
@@ -3833,7 +3362,7 @@ mod tests {
         idx.insert_row(42, 7000);
         idx.insert_row(42, 7001);
         assert_eq!(idx.delete_row(42, 7000).0, 1, "pending row dies");
-        let (rowids, _) = idx.select_rowids(42, 43);
+        let rowids = rowids(&idx, 42, 43);
         assert!(rowids.contains(&7001));
         assert!(!rowids.contains(&7000));
         // And the empty-main path: a fresh empty index with pending rows.
@@ -3853,7 +3382,7 @@ mod tests {
             LatchProtocol::Piece,
         )
         .with_compaction(CompactionPolicy::rows(64).incremental(2));
-        idx.sum(15, 35); // crack
+        idx.read::<Sum>(15, 35, None); // crack
         assert_eq!(idx.delete(20).0, 1, "row 102 dies");
         idx.insert_row(25, 500);
         idx.insert_row(12, 501);
@@ -3861,11 +3390,11 @@ mod tests {
         // (budget permitting); a full rebuild merges the rest.
         idx.compact_step(8);
         idx.compact();
-        assert_eq!(idx.select_rowids(0, 100).0, vec![100, 101, 103, 500, 501]);
-        assert_eq!(idx.select_rowids(12, 26).0, vec![500, 501]);
+        assert_eq!(rowids(&idx, 0, 100), vec![100, 101, 103, 500, 501]);
+        assert_eq!(rowids(&idx, 12, 26), vec![500, 501]);
         // Self-assigned ids continue above the externally assigned ones.
         idx.insert(60);
-        let (rowids, _) = idx.select_rowids(60, 61);
+        let rowids = rowids(&idx, 60, 61);
         assert_eq!(rowids, vec![502], "next_rowid seeds past the max given id");
         assert!(idx.check_invariants());
     }
@@ -3881,7 +3410,7 @@ mod tests {
                 .collect();
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(8).incremental(2));
-            idx.sum(0, 1000);
+            idx.read::<Sum>(0, 1000, None);
             let snap = idx.snapshot();
             // Post-snapshot churn: delete seeded rows, insert new ones,
             // force physical reconciliation under the pinned snapshot.
@@ -3892,13 +3421,13 @@ mod tests {
             idx.compact_step(8);
             for (low, high) in [(0, 1000), (90, 310), (150, 250)] {
                 assert_eq!(
-                    snap.rowids(low, high).0,
+                    snap.read::<RowIdSet>(low, high).0.to_vec(),
                     rowid_oracle(&rows, low, high),
                     "{protocol} pinned rowids [{low},{high})"
                 );
             }
             // The live view sees the replacement rows.
-            let (live, _) = idx.select_rowids(100, 101);
+            let live = rowids(&idx, 100, 101);
             assert_eq!(live, vec![5100], "{protocol}");
             drop(snap);
             assert_eq!(idx.live_snapshots(), 0, "{protocol}");

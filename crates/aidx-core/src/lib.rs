@@ -21,6 +21,12 @@
 //!   threads, with column-latch, piece-latch, or latch-free protocols
 //!   ([`LatchProtocol`]), conflict avoidance ([`RefinementPolicy`]), bound
 //!   re-evaluation after wake-up, and middle-first waiter scheduling.
+//! * [`ReadShape`] / [`ColumnIndex`] — the one read path: every read is
+//!   `read::<S>` for a shape `S` ([`Count`], [`Sum`], [`RowIdSet`],
+//!   [`KeyRuns`]) that fixes its typed output, per-piece collect step,
+//!   delta fold and merge of disjoint parts; [`ColumnIndex`] is the
+//!   read-plus-positional-writes surface the serial, chunked and
+//!   range-partitioned designs share.
 //! * [`ConcurrentAdaptiveMerge`] — concurrency control for adaptive merging
 //!   over a partitioned B-tree, with instantly-committing merge steps that
 //!   respect user-transaction key-range locks.
@@ -49,6 +55,7 @@ pub mod metrics;
 pub mod pending;
 pub mod piece_registry;
 pub mod protocol;
+pub mod read;
 pub mod rowid_set;
 pub mod shared_array;
 
@@ -65,9 +72,10 @@ pub use key_runs::{
 };
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
-pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta, RowidView};
+pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
 pub use piece_registry::PieceLatchRegistry;
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
+pub use read::{ColumnIndex, Count, ReadShape, Sum};
 pub use rowid_set::{
     intersect_iters_gallop, intersect_iters_linear, intersect_sets, IntersectStats,
     IntersectStrategy, RowIdSet, RowIdSetBuilder, RowIdSetIter, SeekingIterator, SliceIter,

@@ -21,11 +21,11 @@
 //!   the size ratio — galloping wins when one side is much smaller,
 //!   linear wins when the sides are comparable.
 //!
-//! Producers ([`crate::ConcurrentCracker::select_rowid_set`] and the
-//! parallel wrappers in `aidx-parallel`) build sets from *sorted runs* —
-//! one run per cracker piece / chunk / partition — via
-//! [`RowIdSet::from_runs`], which k-way merges straight into the
-//! encoder; no flat intermediate vector is ever materialised.
+//! Producers (the [`RowIdSet`] shape of [`crate::ConcurrentCracker::read`]
+//! and the parallel fan-outs in `aidx-parallel`) build sets from *sorted
+//! runs* — one run per cracker piece / chunk / partition — via
+//! [`RowIdSet::from_runs`], which k-way merges straight into the encoder;
+//! no flat intermediate vector is ever materialised.
 
 use aidx_storage::RowId;
 use std::cmp::Reverse;

@@ -4,7 +4,7 @@
 //! (and delete-aware piece shrinks) fire constantly mid-sequence. The
 //! piece/array/hole invariants must hold after every compaction.
 
-use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_core::{CompactionPolicy, ConcurrentCracker, Count, LatchProtocol, Sum};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -68,7 +68,7 @@ proptest! {
                     1 => {
                         let (low, high) = if a <= b { (a, b) } else { (b, a) };
                         prop_assert_eq!(
-                            idx.sum(low, high).0,
+                            idx.read::<Sum>(low, high, None).0,
                             oracle_sum(&oracle, low, high),
                             "{} sum [{},{})", protocol, low, high
                         );
@@ -155,7 +155,7 @@ proptest! {
             let idx = ConcurrentCracker::from_values(values.clone(), protocol)
                 .with_compaction(CompactionPolicy::rows(8).incremental(step_budget));
             let mut oracle = oracle_from(&values);
-            idx.sum(i64::MIN, i64::MAX);
+            idx.read::<Sum>(i64::MIN, i64::MAX, None);
             let apply = |idx: &ConcurrentCracker, oracle: &mut BTreeMap<i64, u64>,
                          kind: u8, v: i64| -> (u64, u64) {
                 match kind {
@@ -187,12 +187,12 @@ proptest! {
                 for &(a, b) in &queries {
                     let (low, high) = if a <= b { (a, b) } else { (b, a) };
                     prop_assert_eq!(
-                        snap.count(low, high).0,
+                        snap.read::<Count>(low, high).0,
                         oracle_count(&frozen, low, high),
                         "{} pinned count [{},{}) after {} steps", protocol, low, high, steps
                     );
                     prop_assert_eq!(
-                        snap.sum(low, high).0,
+                        snap.read::<Sum>(low, high).0,
                         oracle_sum(&frozen, low, high),
                         "{} pinned sum [{},{}) after {} steps", protocol, low, high, steps
                     );
@@ -212,7 +212,7 @@ proptest! {
             for &(a, b) in &queries {
                 let (low, high) = if a <= b { (a, b) } else { (b, a) };
                 prop_assert_eq!(
-                    snap.count(low, high).0,
+                    snap.read::<Count>(low, high).0,
                     oracle_count(&frozen, low, high),
                     "{} final pinned count [{},{})", protocol, low, high
                 );

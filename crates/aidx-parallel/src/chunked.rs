@@ -1,32 +1,35 @@
 //! Parallel-chunked cracking.
 //!
-//! The column is split into `chunks` contiguous chunks, each with its own
-//! fully independent cracker — its own cracker array, table of contents,
-//! and latch hierarchy. A query fans out to one task per chunk on the
-//! shared [`WorkerPool`]; every task answers the predicate over its chunk
-//! (cracking that chunk as a side effect) and the partial aggregates are
-//! summed. This is the "parallel-chunked" design of *Main Memory Adaptive
-//! Indexing for Multi-core Systems* (Alvarez et al.): because the chunks
-//! partition the *positions* (not the key domain), every chunk holds keys
-//! from the whole domain and every query touches every chunk — but each
-//! chunk's refinement work, the dominant cost of early queries, runs on a
-//! different core.
+//! The column is split into `chunks` contiguous chunks, each its own
+//! [`ConcurrentCracker`] — its own cracker array, table of contents, and
+//! latch hierarchy. A read fans out to one task per chunk on the shared
+//! [`WorkerPool`]; every task runs the chunk's one shape-generic read
+//! ([`ConcurrentCracker::read`], cracking that chunk as a side effect) and
+//! the per-chunk answers are merged by the shape
+//! ([`ReadShape::merge`]): counts and sums add up, rowid sets union,
+//! key runs concatenate. This is the "parallel-chunked" design of *Main
+//! Memory Adaptive Indexing for Multi-core Systems* (Alvarez et al.):
+//! because the chunks partition the *positions* (not the key domain),
+//! every chunk holds keys from the whole domain and every query touches
+//! every chunk — but each chunk's refinement work, the dominant cost of
+//! early queries, runs on a different core.
 //!
-//! Concurrency control composes with the paper's protocols per chunk: a
-//! chunk is itself a [`ConcurrentCracker`] under a chosen
-//! [`LatchProtocol`], so multiple in-flight queries may fan out to the
+//! Concurrency control composes with the paper's protocols per chunk:
+//! every chunk runs under one chosen [`LatchProtocol`] and
+//! [`RefinementPolicy`], so multiple in-flight queries may fan out to the
 //! same chunk concurrently and are coordinated exactly as Graefe et al.
-//! prescribe — just over a chunk-sized column. Alternatively a chunk can
-//! run stochastic cracking ([`StochasticCracker`]) under a chunk-local
-//! exclusive latch, composing workload-robustness with parallelism.
+//! prescribe — just over a chunk-sized column. Chunks share one row-id
+//! space, so every shape — [`Count`](aidx_core::Count),
+//! [`Sum`](aidx_core::Sum), [`RowIdSet`](aidx_core::RowIdSet) and
+//! [`KeyRuns`](aidx_core::KeyRuns) — is available live
+//! ([`ColumnIndex::read`]) and at a snapshot ([`ChunkedSnapshot::read`]).
 
 use crate::pool::WorkerPool;
-use aidx_core::facade::{Mutex, RwLock};
+use aidx_core::facade::RwLock;
 use aidx_core::{
-    Aggregate, CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics,
-    RefinementPolicy, RowIdSet,
+    ColumnIndex, CompactionPolicy, ConcurrentCracker, LatchProtocol, QueryMetrics, ReadShape,
+    RefinementPolicy,
 };
-use aidx_cracking::StochasticCracker;
 use aidx_obs::StructureProbe;
 use aidx_storage::RowId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,253 +37,10 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-chunk refinement machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkBackend {
-    /// Each chunk is a [`ConcurrentCracker`] under this latch protocol and
-    /// refinement policy (the paper's concurrency control, chunk-local).
-    Concurrent(LatchProtocol, RefinementPolicy),
-    /// Each chunk is a [`StochasticCracker`] (Halim et al.'s DDR flavour)
-    /// behind a chunk-local exclusive latch: robust against adversarial
-    /// bound sequences, serialized per chunk but parallel across chunks.
-    Stochastic {
-        /// Piece size below which no random cracks are injected.
-        piece_threshold: usize,
-        /// Base seed; chunk `i` uses `seed + i`.
-        seed: u64,
-    },
-}
-
-#[derive(Debug)]
-enum Chunk {
-    Concurrent(Box<ConcurrentCracker>),
-    Stochastic(Mutex<StochasticCracker>),
-}
-
-impl Chunk {
-    /// Answers `agg` over `[low, high)` in this chunk — at the given
-    /// chunk-local snapshot epoch if one is supplied (concurrent chunks
-    /// only; the caller guarantees stochastic chunks never get an epoch).
-    fn query_at(
-        &self,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        epoch: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        if let (Chunk::Concurrent(cracker), Some(epoch)) = (self, epoch) {
-            return match agg {
-                Aggregate::Count => {
-                    let (c, m) = cracker.count_at(low, high, epoch);
-                    (c as i128, m)
-                }
-                Aggregate::Sum => cracker.sum_at(low, high, epoch),
-            };
-        }
-        self.query(low, high, agg)
-    }
-
-    fn query(&self, low: i64, high: i64, agg: Aggregate) -> (i128, QueryMetrics) {
-        match self {
-            Chunk::Concurrent(cracker) => match agg {
-                Aggregate::Count => {
-                    let (c, m) = cracker.count(low, high);
-                    (c as i128, m)
-                }
-                Aggregate::Sum => cracker.sum(low, high),
-            },
-            Chunk::Stochastic(cracker) => {
-                let start = Instant::now();
-                let mut metrics = QueryMetrics::default();
-                // The chunk-local exclusive latch serializes queries within
-                // this chunk; blocked time is real wait time and must show
-                // up in the breakdown, like ConcurrentCracker::note_wait.
-                let guard = cracker.try_lock();
-                let mut guard = match guard {
-                    Some(guard) => guard,
-                    None => {
-                        let wait_start = Instant::now();
-                        let guard = cracker.lock();
-                        metrics.wait_time = wait_start.elapsed();
-                        metrics.conflicts = 1;
-                        guard
-                    }
-                };
-                let cracks_before = guard.bound_cracks() + guard.random_cracks();
-                // One crack-select resolves both bounds; counts are purely
-                // positional and sums scan the qualifying range once.
-                let range = guard.crack_select(low, high).range;
-                metrics.result_count = range.len() as u64;
-                let result = match agg {
-                    Aggregate::Count => range.len() as i128,
-                    Aggregate::Sum => guard.array().sum_range(range.start, range.end),
-                };
-                // Saturate instead of truncating: a `u64 as u32` here would
-                // silently wrap on long runs, violating the
-                // saturating-counter policy of `QueryMetrics::accumulate`.
-                metrics.cracks_performed =
-                    u32::try_from(guard.bound_cracks() + guard.random_cracks() - cracks_before)
-                        .unwrap_or(u32::MAX);
-                drop(guard);
-                metrics.total = start.elapsed();
-                (result, metrics)
-            }
-        }
-    }
-
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        match self {
-            Chunk::Concurrent(cracker) => cracker.insert_row(value, rowid),
-            Chunk::Stochastic(cracker) => {
-                // Stochastic chunks keep no row identity; the id is spent
-                // (never reused) so the concurrent chunks' id space stays
-                // collision-free either way.
-                let start = Instant::now();
-                let mut metrics = QueryMetrics::default();
-                cracker.lock().insert(value);
-                metrics.inserts_applied = 1;
-                metrics.result_count = 1;
-                metrics.total = start.elapsed();
-                metrics
-            }
-        }
-    }
-
-    /// Rowid read over this chunk, optionally at a chunk-local snapshot
-    /// epoch. `None` for stochastic chunks (no row identity).
-    fn select_rowids_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(Vec<RowId>, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_rowids_at(low, high, epoch),
-                None => cracker.select_rowids(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
-        }
-    }
-
-    /// Compressed rowid-set read over this chunk, optionally at a
-    /// chunk-local snapshot epoch. `None` for stochastic chunks (no row
-    /// identity).
-    fn select_rowid_set_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(RowIdSet, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_rowid_set_at(low, high, epoch),
-                None => cracker.select_rowid_set(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
-        }
-    }
-
-    /// Lazy `(key, rowid)` run read over this chunk, optionally at a
-    /// chunk-local snapshot epoch. `None` for stochastic chunks (no row
-    /// identity).
-    fn select_key_runs_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(KeyRuns, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_key_runs_at(low, high, epoch),
-                None => cracker.select_key_runs(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
-        }
-    }
-
-    /// Positional delete of one `(value, rowid)` pair. Stochastic chunks
-    /// hold no row identity, so the pair cannot live there.
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        match self {
-            Chunk::Concurrent(cracker) => cracker.delete_row(value, rowid),
-            Chunk::Stochastic(_) => (0, QueryMetrics::default()),
-        }
-    }
-
-    fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        match self {
-            Chunk::Concurrent(cracker) => cracker.delete(value),
-            Chunk::Stochastic(cracker) => {
-                let start = Instant::now();
-                let mut metrics = QueryMetrics::default();
-                let removed = cracker.lock().delete(value);
-                metrics.deletes_applied = 1;
-                metrics.result_count = removed;
-                metrics.total = start.elapsed();
-                (removed, metrics)
-            }
-        }
-    }
-
-    fn crack_count(&self) -> u64 {
-        match self {
-            Chunk::Concurrent(c) => c.crack_count(),
-            Chunk::Stochastic(c) => {
-                let guard = c.lock();
-                guard.bound_cracks() + guard.random_cracks()
-            }
-        }
-    }
-
-    fn delta_rows(&self) -> u64 {
-        match self {
-            Chunk::Concurrent(c) => c.delta_rows(),
-            // Stochastic chunks merge writes immediately: no delta.
-            Chunk::Stochastic(_) => 0,
-        }
-    }
-
-    fn compactions_performed(&self) -> u64 {
-        match self {
-            Chunk::Concurrent(c) => c.compactions_performed(),
-            Chunk::Stochastic(_) => 0,
-        }
-    }
-
-    fn check_invariants(&self) -> bool {
-        match self {
-            Chunk::Concurrent(c) => c.check_invariants(),
-            Chunk::Stochastic(c) => c.lock().check_invariants(),
-        }
-    }
-
-    /// Raw structure observation for this chunk. Stochastic chunks merge
-    /// writes physically, so only rows and piece layout are meaningful.
-    fn structure_probe(&self) -> StructureProbe {
-        match self {
-            Chunk::Concurrent(c) => c.structure_probe(),
-            Chunk::Stochastic(c) => {
-                let guard = c.lock();
-                StructureProbe {
-                    rows: guard.len() as u64,
-                    piece_sizes: guard
-                        .piece_map()
-                        .pieces()
-                        .iter()
-                        .map(|p| p.len() as u64)
-                        .collect(),
-                    ..StructureProbe::default()
-                }
-            }
-        }
-    }
-}
-
 /// A column cracked in parallel, one chunk per core.
 #[derive(Debug)]
 pub struct ChunkedCracker {
-    chunks: Arc<Vec<Chunk>>,
+    chunks: Arc<Vec<ConcurrentCracker>>,
     pool: WorkerPool,
     /// Logical row count across all chunks (kept current by writes).
     len: AtomicUsize,
@@ -307,19 +67,23 @@ pub struct ChunkedCracker {
 
 impl ChunkedCracker {
     /// Splits `values` into `chunks` contiguous chunks (clamped to
-    /// `1..=len.max(1)`) and spawns one pool worker per chunk. Row ids
-    /// are positional over the *whole* column (chunks share one id
-    /// space), so rowid reads across chunks never collide.
-    pub fn new(values: Vec<i64>, chunks: usize, backend: ChunkBackend) -> Self {
+    /// `1..=len.max(1)`), each cracked under `protocol` and `policy`, and
+    /// spawns one pool worker per chunk. Row ids are positional over the
+    /// *whole* column (chunks share one id space), so rowid reads across
+    /// chunks never collide.
+    pub fn new(
+        values: Vec<i64>,
+        chunks: usize,
+        protocol: LatchProtocol,
+        policy: RefinementPolicy,
+    ) -> Self {
         let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
-        Self::from_rows(values, rowids, chunks, backend)
+        Self::from_rows(values, rowids, chunks, protocol, policy)
     }
 
     /// As [`ChunkedCracker::new`] with explicit, aligned row ids — the
     /// table-engine path, where one tuple's id is shared by every indexed
-    /// column. Stochastic chunks keep no row identity and simply drop the
-    /// ids (rowid reads then return `None`, like
-    /// [`ChunkedCracker::snapshot`] does for them).
+    /// column.
     ///
     /// # Panics
     /// Panics if the vectors differ in length.
@@ -327,7 +91,8 @@ impl ChunkedCracker {
         values: Vec<i64>,
         rowids: Vec<RowId>,
         chunks: usize,
-        backend: ChunkBackend,
+        protocol: LatchProtocol,
+        policy: RefinementPolicy,
     ) -> Self {
         assert_eq!(values.len(), rowids.len(), "misaligned rowid column");
         let len = values.len();
@@ -348,20 +113,9 @@ impl ChunkedCracker {
             let rest_ids = remaining_ids.split_off(take);
             let chunk_ids = std::mem::replace(&mut remaining_ids, rest_ids);
             chunk_sizes.push(AtomicUsize::new(chunk_values.len()));
-            built.push(match backend {
-                ChunkBackend::Concurrent(protocol, policy) => Chunk::Concurrent(Box::new(
-                    ConcurrentCracker::from_rows(chunk_values, chunk_ids, protocol)
-                        .with_policy(policy),
-                )),
-                ChunkBackend::Stochastic {
-                    piece_threshold,
-                    seed,
-                } => Chunk::Stochastic(Mutex::new(StochasticCracker::with_threshold(
-                    chunk_values,
-                    piece_threshold,
-                    seed + i as u64,
-                ))),
-            });
+            built.push(
+                ConcurrentCracker::from_rows(chunk_values, chunk_ids, protocol).with_policy(policy),
+            );
         }
         ChunkedCracker {
             pool: WorkerPool::new(built.len()),
@@ -405,14 +159,13 @@ impl ChunkedCracker {
 
     /// Total cracks performed across all chunks.
     pub fn crack_count(&self) -> u64 {
-        self.chunks.iter().map(Chunk::crack_count).sum()
+        self.chunks.iter().map(ConcurrentCracker::crack_count).sum()
     }
 
     /// Sets the per-chunk delta compaction policy (builder style): each
-    /// concurrent chunk compacts independently once *its* delta outgrows
-    /// the threshold, so reclamation work spreads across cores with the
-    /// writes. Stochastic chunks merge writes immediately and ignore the
-    /// policy. Must be called before the index is shared.
+    /// chunk compacts independently once *its* delta outgrows the
+    /// threshold, so reclamation work spreads across cores with the
+    /// writes. Must be called before the index is shared.
     pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
         self.set_compaction(policy);
         self
@@ -435,9 +188,7 @@ impl ChunkedCracker {
         let chunks = Arc::get_mut(&mut self.chunks)
             .expect("&mut self: no new chunk references can appear once workers drain");
         for chunk in chunks.iter_mut() {
-            if let Chunk::Concurrent(cracker) = chunk {
-                cracker.set_compaction(policy);
-            }
+            chunk.set_compaction(policy);
         }
     }
 
@@ -445,12 +196,15 @@ impl ChunkedCracker {
     /// tombstones, summed across chunks) — the quantity the compaction
     /// policy bounds per chunk.
     pub fn delta_rows(&self) -> u64 {
-        self.chunks.iter().map(Chunk::delta_rows).sum()
+        self.chunks.iter().map(ConcurrentCracker::delta_rows).sum()
     }
 
     /// Delta compactions performed across all chunks.
     pub fn compactions_performed(&self) -> u64 {
-        self.chunks.iter().map(Chunk::compactions_performed).sum()
+        self.chunks
+            .iter()
+            .map(ConcurrentCracker::compactions_performed)
+            .sum()
     }
 
     /// Inserts one row with the given key. Chunks partition *positions*,
@@ -492,101 +246,25 @@ impl ChunkedCracker {
     /// whole key domain, so the delete fans out to all chunks and the
     /// removal counts are summed.
     pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        // Shared fence: a concurrent snapshot open (exclusive) either sees
-        // the whole multi-chunk delete or none of it.
-        let _fence = self.snapshot_fence.read();
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                let _ = tx.send((chunk_id, chunks[chunk_id].delete(value)));
-            });
-        }
-        drop(tx);
-
-        let mut removed = 0u64;
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (chunk_id, (chunk_removed, part_metrics)) = rx.recv().expect("chunk worker died");
-            removed += chunk_removed;
-            self.chunk_sizes[chunk_id].fetch_sub(chunk_removed as usize, Ordering::Relaxed);
-            parts.push(part_metrics);
-        }
-        self.len.fetch_sub(removed as usize, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.deletes_applied = 1;
-        metrics.result_count = removed;
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.fan_out_delete(move |chunk| chunk.delete(value))
     }
 
     /// Opens a snapshot across every chunk: one chunk-local epoch per
     /// chunk, registered in chunk order. Reads through the handle are
     /// frozen at those epochs while writers, per-chunk compactions
-    /// (incremental or quiescing), and other queries race on. Returns
-    /// `None` when any chunk runs the stochastic backend (which merges
-    /// writes physically and keeps no epoch history).
-    pub fn snapshot(&self) -> Option<ChunkedSnapshot<'_>> {
+    /// (incremental or quiescing), and other queries race on.
+    pub fn snapshot(&self) -> ChunkedSnapshot<'_> {
         // Exclusive fence: no multi-chunk delete is mid-fan-out while the
         // per-chunk epochs are registered, so the cut cannot tear a
         // single logical op. (Inserts touch exactly one chunk; their
         // epoch bump is atomic with respect to that chunk's registration.)
         let _fence = self.snapshot_fence.write();
-        let mut epochs = Vec::with_capacity(self.chunks.len());
-        for chunk in self.chunks.iter() {
-            match chunk {
-                Chunk::Concurrent(cracker) => epochs.push(cracker.register_snapshot_epoch()),
-                Chunk::Stochastic(_) => {
-                    for (chunk, &epoch) in self.chunks.iter().zip(&epochs) {
-                        if let Chunk::Concurrent(cracker) = chunk {
-                            cracker.release_snapshot_epoch(epoch);
-                        }
-                    }
-                    return None;
-                }
-            }
-        }
-        Some(ChunkedSnapshot { idx: self, epochs })
-    }
-
-    /// Q1: count of values in `[low, high)` across all chunks.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self.fan_out(low, high, Aggregate::Count, None);
-        (value as u64, metrics)
-    }
-
-    /// Q2: sum of values in `[low, high)` across all chunks.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.fan_out(low, high, Aggregate::Sum, None)
-    }
-
-    /// Row ids of every live row with a value in `[low, high)`, unioned
-    /// across all chunks (sorted ascending; chunks share one id space).
-    /// Returns `None` when any chunk runs the stochastic backend, which
-    /// keeps no row identity.
-    pub fn select_rowids(&self, low: i64, high: i64) -> Option<(Vec<RowId>, QueryMetrics)> {
-        self.fan_out_rowids(low, high, None)
-    }
-
-    /// As [`ChunkedCracker::select_rowids`], but each chunk builds a
-    /// block-compressed [`RowIdSet`] from its own per-piece sorted runs
-    /// and the per-chunk sets (chunks partition positions, so the sets
-    /// are rowid-disjoint) are k-way merged without decoding to a flat
-    /// vector. `None` when any chunk runs the stochastic backend.
-    pub fn select_rowid_set(&self, low: i64, high: i64) -> Option<(RowIdSet, QueryMetrics)> {
-        self.fan_out_rowid_set(low, high, None)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of every live row with a value
-    /// in `[low, high)`, absorbed across all chunks (chunks partition
-    /// positions, so the runs are rowid-disjoint and each keeps its raw,
-    /// unsorted physical order — sorting stays deferred to the consuming
-    /// [`KeyRunsIter`](aidx_core::KeyRunsIter)). `None` when any chunk
-    /// runs the stochastic backend, which keeps no row identity.
-    pub fn select_key_runs(&self, low: i64, high: i64) -> Option<(KeyRuns, QueryMetrics)> {
-        self.fan_out_key_runs(low, high, None)
+        let epochs = self
+            .chunks
+            .iter()
+            .map(ConcurrentCracker::register_snapshot_epoch)
+            .collect();
+        ChunkedSnapshot { idx: self, epochs }
     }
 
     /// Deletes one specific row `(value, rowid)`. Chunks partition
@@ -594,15 +272,26 @@ impl ChunkedCracker {
     /// fans out and exactly one chunk (at most) removes it. Returns how
     /// many rows were removed (0 or 1).
     pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        let (removed, metrics) = self.fan_out_delete(move |chunk| chunk.delete_row(value, rowid));
+        debug_assert!(removed <= 1, "a rowid lives in at most one chunk");
+        (removed, metrics)
+    }
+
+    /// Fans one delete out to every chunk and sums the removals. The
+    /// fan-out is one logical op, so it holds the snapshot fence shared: a
+    /// concurrent snapshot open (exclusive) sees all of it or none of it.
+    fn fan_out_delete(
+        &self,
+        delete: impl Fn(&ConcurrentCracker) -> (u64, QueryMetrics) + Copy + Send + 'static,
+    ) -> (u64, QueryMetrics) {
         let start = Instant::now();
-        // Shared fence, like `delete`: the fan-out is one logical op.
         let _fence = self.snapshot_fence.read();
         let (tx, rx) = channel();
         for chunk_id in 0..self.chunks.len() {
             let chunks = Arc::clone(&self.chunks);
             let tx = tx.clone();
             self.pool.execute(move || {
-                let _ = tx.send((chunk_id, chunks[chunk_id].delete_row(value, rowid)));
+                let _ = tx.send((chunk_id, delete(&chunks[chunk_id])));
             });
         }
         drop(tx);
@@ -614,7 +303,6 @@ impl ChunkedCracker {
             self.chunk_sizes[chunk_id].fetch_sub(chunk_removed as usize, Ordering::Relaxed);
             parts.push(part_metrics);
         }
-        debug_assert!(removed <= 1, "a rowid lives in at most one chunk");
         self.len.fetch_sub(removed as usize, Ordering::Relaxed);
         let mut metrics = QueryMetrics::merge_parallel(parts);
         metrics.deletes_applied = 1;
@@ -623,179 +311,23 @@ impl ChunkedCracker {
         (removed, metrics)
     }
 
-    /// Fans one rowid read out to every chunk and unions the results,
-    /// optionally pinned at per-chunk snapshot epochs. `None` if any
-    /// chunk is stochastic.
-    fn fan_out_rowids(
+    /// Fans one read out to every chunk — pinned at per-chunk snapshot
+    /// epochs if given — and merges the per-chunk answers (chunks
+    /// partition positions, so the parts are rowid-disjoint).
+    fn fan_out<S: ReadShape>(
         &self,
         low: i64,
         high: i64,
         epochs: Option<&[u64]>,
-    ) -> Option<(Vec<RowId>, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((Vec::new(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_rowids_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut rows = Vec::new();
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            rows.extend(partial);
-            parts.push(part_metrics);
-        }
-        rows.sort_unstable();
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = rows.len() as u64;
-        metrics.total = start.elapsed();
-        Some((rows, metrics))
-    }
-
-    /// Fans one compressed-set read out to every chunk and merges the
-    /// per-chunk sets, optionally pinned at per-chunk snapshot epochs.
-    /// `None` if any chunk is stochastic.
-    fn fan_out_rowid_set(
-        &self,
-        low: i64,
-        high: i64,
-        epochs: Option<&[u64]>,
-    ) -> Option<(RowIdSet, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((RowIdSet::default(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_rowid_set_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut sets = Vec::with_capacity(self.chunks.len());
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            sets.push(partial);
-            parts.push(part_metrics);
-        }
-        let merged = RowIdSet::merge_sets(&sets);
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = merged.len() as u64;
-        // Report the footprint of the set the caller actually receives,
-        // not the sum of the transient per-chunk parts.
-        metrics.candidate_set_bytes = merged.heap_bytes() as u64;
-        metrics.total = start.elapsed();
-        Some((merged, metrics))
-    }
-
-    /// Fans one key-run read out to every chunk and absorbs the per-chunk
-    /// run collections, optionally pinned at per-chunk snapshot epochs.
-    /// `None` if any chunk is stochastic.
-    fn fan_out_key_runs(
-        &self,
-        low: i64,
-        high: i64,
-        epochs: Option<&[u64]>,
-    ) -> Option<(KeyRuns, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((KeyRuns::default(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_key_runs_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut merged = KeyRuns::default();
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            merged.absorb(partial);
-            parts.push(part_metrics);
-        }
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = merged.total_rows() as u64;
-        metrics.total = start.elapsed();
-        Some((merged, metrics))
-    }
-
-    /// Fans one query out to every chunk and merges the partial results,
-    /// optionally pinned at per-chunk snapshot epochs.
-    fn fan_out(
-        &self,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        epochs: Option<&[u64]>,
-    ) -> (i128, QueryMetrics) {
+    ) -> (S::Output, QueryMetrics) {
         let start = Instant::now();
         if low >= high {
             let metrics = QueryMetrics {
                 total: start.elapsed(),
                 ..QueryMetrics::default()
             };
-            return (0, metrics);
+            return (S::Output::default(), metrics);
         }
-
         let (tx, rx) = channel();
         for chunk_id in 0..self.chunks.len() {
             let chunks = Arc::clone(&self.chunks);
@@ -805,21 +337,16 @@ impl ChunkedCracker {
                 // A send error means the query thread gave up (it never
                 // does: it blocks on all replies); ignore rather than panic
                 // a pool worker.
-                let _ = tx.send(chunks[chunk_id].query_at(low, high, agg, epoch));
+                let _ = tx.send(chunks[chunk_id].read::<S>(low, high, epoch));
             });
         }
         drop(tx);
-
-        let mut value: i128 = 0;
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            value += partial;
-            parts.push(part_metrics);
-        }
-        let mut metrics = QueryMetrics::merge_parallel(parts);
+        let parts = (0..self.chunks.len())
+            .map(|_| rx.recv().expect("chunk worker died"))
+            .collect();
+        let (out, mut metrics) = S::merge(parts);
         metrics.total = start.elapsed();
-        (value, metrics)
+        (out, metrics)
     }
 
     /// One merged structure probe across every chunk: total pieces, the
@@ -836,7 +363,30 @@ impl ChunkedCracker {
 
     /// Verifies every chunk's piece/array consistency (quiescent only).
     pub fn check_invariants(&self) -> bool {
-        self.chunks.iter().all(Chunk::check_invariants)
+        self.chunks.iter().all(ConcurrentCracker::check_invariants)
+    }
+}
+
+impl ColumnIndex for ChunkedCracker {
+    /// Fans the read out to every chunk and merges the per-chunk answers.
+    fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
+        self.fan_out::<S>(low, high, None)
+    }
+
+    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        ChunkedCracker::insert_row(self, value, rowid)
+    }
+
+    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        ChunkedCracker::delete_row(self, value, rowid)
+    }
+
+    fn check_invariants(&self) -> bool {
+        ChunkedCracker::check_invariants(self)
+    }
+
+    fn structure_probe(&self) -> StructureProbe {
+        ChunkedCracker::structure_probe(self)
     }
 }
 
@@ -856,53 +406,17 @@ impl ChunkedSnapshot<'_> {
         &self.epochs
     }
 
-    /// Q1 at the snapshot: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self
-            .idx
-            .fan_out(low, high, Aggregate::Count, Some(&self.epochs));
-        (value as u64, metrics)
-    }
-
-    /// Q2 at the snapshot: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.idx
-            .fan_out(low, high, Aggregate::Sum, Some(&self.epochs))
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot (sorted ascending). Snapshots only exist over concurrent
-    /// chunks, so the read cannot fail.
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.idx
-            .fan_out_rowids(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
-    }
-
-    /// As [`ChunkedSnapshot::rowids`], materialised as a compressed
-    /// [`RowIdSet`] merged across the chunks' pinned epochs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.idx
-            .fan_out_rowid_set(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of the rows with values in
-    /// `[low, high)` as of the snapshot, absorbed across the chunks'
-    /// pinned epochs.
-    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        self.idx
-            .fan_out_key_runs(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
+    /// Reads `[low, high)` in shape `S` as of the snapshot: the same
+    /// fan-out as a live read, each chunk answering at its pinned epoch.
+    pub fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
+        self.idx.fan_out::<S>(low, high, Some(&self.epochs))
     }
 }
 
 impl Drop for ChunkedSnapshot<'_> {
     fn drop(&mut self) {
         for (chunk, &epoch) in self.idx.chunks.iter().zip(&self.epochs) {
-            if let Chunk::Concurrent(cracker) = chunk {
-                cracker.release_snapshot_epoch(epoch);
-            }
+            chunk.release_snapshot_epoch(epoch);
         }
     }
 }
@@ -910,6 +424,7 @@ impl Drop for ChunkedSnapshot<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_core::{Count, RowIdSet, Sum};
     use aidx_storage::ops;
     use std::thread;
 
@@ -917,16 +432,17 @@ mod tests {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
     }
 
-    fn backends() -> Vec<ChunkBackend> {
+    fn backends() -> Vec<(LatchProtocol, RefinementPolicy)> {
         vec![
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-            ChunkBackend::Concurrent(LatchProtocol::Column, RefinementPolicy::Always),
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::SkipOnContention),
-            ChunkBackend::Stochastic {
-                piece_threshold: 128,
-                seed: 42,
-            },
+            (LatchProtocol::Piece, RefinementPolicy::Always),
+            (LatchProtocol::Column, RefinementPolicy::Always),
+            (LatchProtocol::Piece, RefinementPolicy::SkipOnContention),
         ]
+    }
+
+    /// A live rowid read, decoded to a sorted vector.
+    fn rowids(idx: &ChunkedCracker, low: i64, high: i64) -> Vec<RowId> {
+        idx.read::<RowIdSet>(low, high).0.to_vec()
     }
 
     #[test]
@@ -934,17 +450,17 @@ mod tests {
         let values = shuffled(5000);
         for backend in backends() {
             for chunks in [1, 2, 4, 7] {
-                let idx = ChunkedCracker::new(values.clone(), chunks, backend);
+                let idx = ChunkedCracker::new(values.clone(), chunks, backend.0, backend.1);
                 assert_eq!(idx.chunk_count(), chunks);
                 assert_eq!(idx.len(), 5000);
                 for (low, high) in [(10, 4000), (100, 200), (0, 5000), (4999, 5000), (300, 100)] {
-                    let (c, _) = idx.count(low, high);
+                    let (c, _) = idx.read::<Count>(low, high);
                     assert_eq!(
                         c,
                         ops::count(&values, low, high),
                         "{backend:?}/{chunks} count"
                     );
-                    let (s, _) = idx.sum(low, high);
+                    let (s, _) = idx.read::<Sum>(low, high);
                     assert_eq!(s, ops::sum(&values, low, high), "{backend:?}/{chunks} sum");
                 }
                 assert!(idx.check_invariants(), "{backend:?}/{chunks}");
@@ -957,19 +473,16 @@ mod tests {
         let idx = ChunkedCracker::new(
             shuffled(3),
             16,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
         assert_eq!(idx.chunk_count(), 3);
-        assert_eq!(idx.count(0, 3).0, 3);
-        let empty = ChunkedCracker::new(
-            vec![],
-            4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-        );
+        assert_eq!(idx.read::<Count>(0, 3).0, 3);
+        let empty = ChunkedCracker::new(vec![], 4, LatchProtocol::Piece, RefinementPolicy::Always);
         assert!(empty.is_empty());
         assert_eq!(empty.chunk_count(), 1);
-        assert_eq!(empty.count(0, 10).0, 0);
-        assert_eq!(empty.sum(0, 10).0, 0);
+        assert_eq!(empty.read::<Count>(0, 10).0, 0);
+        assert_eq!(empty.read::<Sum>(0, 10).0, 0);
     }
 
     #[test]
@@ -977,11 +490,12 @@ mod tests {
         let idx = ChunkedCracker::new(
             shuffled(100),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
-        assert_eq!(idx.count(50, 50).0, 0);
-        assert_eq!(idx.count(70, 20).0, 0);
-        assert_eq!(idx.sum(70, 20).0, 0);
+        assert_eq!(idx.read::<Count>(50, 50).0, 0);
+        assert_eq!(idx.read::<Count>(70, 20).0, 0);
+        assert_eq!(idx.read::<Sum>(70, 20).0, 0);
     }
 
     #[test]
@@ -990,16 +504,17 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
-        let (_, m) = idx.sum(500, 3500);
+        let (_, m) = idx.read::<Sum>(500, 3500);
         // Every chunk spans the whole key domain, so every chunk cracks at
         // both bounds on a fresh index: 2 cracks x 4 chunks.
         assert_eq!(m.cracks_performed, 8);
         assert_eq!(m.result_count, 3000);
         assert_eq!(idx.crack_count(), 8);
         // A repeat query refines nothing anywhere.
-        let (_, m2) = idx.sum(500, 3500);
+        let (_, m2) = idx.read::<Sum>(500, 3500);
         assert_eq!(m2.cracks_performed, 0);
     }
 
@@ -1007,14 +522,8 @@ mod tests {
     fn concurrent_clients_get_correct_answers() {
         let n = 20_000usize;
         let values = shuffled(n);
-        for backend in [
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-            ChunkBackend::Stochastic {
-                piece_threshold: 256,
-                seed: 7,
-            },
-        ] {
-            let idx = Arc::new(ChunkedCracker::new(values.clone(), 4, backend));
+        for backend in backends() {
+            let idx = Arc::new(ChunkedCracker::new(values.clone(), 4, backend.0, backend.1));
             let values = Arc::new(values.clone());
             let mut handles = Vec::new();
             for t in 0..8u64 {
@@ -1028,9 +537,9 @@ mod tests {
                         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let b = (seed >> 17) as i64 % n as i64;
                         let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                        let (c, _) = idx.count(low, high);
+                        let (c, _) = idx.read::<Count>(low, high);
                         assert_eq!(c, ops::count(&values, low, high), "[{low},{high})");
-                        let (s, _) = idx.sum(low, high);
+                        let (s, _) = idx.read::<Sum>(low, high);
                         assert_eq!(s, ops::sum(&values, low, high), "[{low},{high})");
                     }
                 }));
@@ -1046,8 +555,8 @@ mod tests {
     fn inserts_and_deletes_are_correct_for_every_backend() {
         let values = shuffled(3000);
         for backend in backends() {
-            let idx = ChunkedCracker::new(values.clone(), 4, backend);
-            idx.sum(100, 2500); // warm all chunks
+            let idx = ChunkedCracker::new(values.clone(), 4, backend.0, backend.1);
+            idx.read::<Sum>(100, 2500); // warm all chunks
             idx.insert(700);
             idx.insert(700);
             idx.insert(9000);
@@ -1064,12 +573,12 @@ mod tests {
             oracle.retain(|&v| v != 700);
             for (low, high) in [(0, 3000), (500, 800), (1200, 1300), (8000, 10_000)] {
                 assert_eq!(
-                    idx.count(low, high).0,
+                    idx.read::<Count>(low, high).0,
                     ops::count(&oracle, low, high),
                     "{backend:?} count [{low},{high})"
                 );
                 assert_eq!(
-                    idx.sum(low, high).0,
+                    idx.read::<Sum>(low, high).0,
                     ops::sum(&oracle, low, high),
                     "{backend:?} sum [{low},{high})"
                 );
@@ -1084,7 +593,8 @@ mod tests {
         let idx = ChunkedCracker::new(
             shuffled(400),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
         // Initial chunks hold 100 rows each; slack is max(16, 100/4) = 25.
         // A long insert stream must rotate the designated chunk instead of
@@ -1102,7 +612,7 @@ mod tests {
             "write stream left chunks unbalanced: {sizes:?}"
         );
         // The inserted rows are all queryable.
-        assert_eq!(idx.count(10_000, 10_400).0, 400);
+        assert_eq!(idx.read::<Count>(10_000, 10_400).0, 400);
     }
 
     #[test]
@@ -1115,7 +625,8 @@ mod tests {
         let idx = Arc::new(ChunkedCracker::new(
             shuffled(400),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         ));
         let writers = 8u64;
         let per_writer = 250u64;
@@ -1143,10 +654,13 @@ mod tests {
         assert_eq!(idx.len(), 400 + inserted);
         // Every inserted row is queryable exactly once.
         assert_eq!(
-            idx.count(10_000, 10_000 + inserted as i64).0,
+            idx.read::<Count>(10_000, 10_000 + inserted as i64).0,
             inserted as u64
         );
-        assert_eq!(idx.count(i64::MIN, i64::MAX).0, (400 + inserted) as u64);
+        assert_eq!(
+            idx.read::<Count>(i64::MIN, i64::MAX).0,
+            (400 + inserted) as u64
+        );
         // The handoff kept rotating: no chunk kept the designation for the
         // whole stream (each started at 100 rows; a stuck designation
         // would leave three chunks at exactly 100).
@@ -1173,7 +687,8 @@ mod tests {
             ChunkedCracker::new(
                 shuffled(200),
                 3,
-                ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+                LatchProtocol::Piece,
+                RefinementPolicy::Always,
             )
             .with_compaction(CompactionPolicy::rows(8)),
         );
@@ -1184,7 +699,7 @@ mod tests {
                 for i in 0..100u64 {
                     idx.insert((5000 + t * 100 + i) as i64);
                     if i % 10 == 3 {
-                        idx.count(5000, 6000);
+                        idx.read::<Count>(5000, 6000);
                     }
                 }
             }));
@@ -1192,7 +707,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(idx.count(5000, 5600).0, 600);
+        assert_eq!(idx.read::<Count>(5000, 5600).0, 600);
         assert_eq!(idx.len(), 800);
         assert!(idx.compactions_performed() > 0, "threshold 8 must trip");
         assert!(idx.check_invariants());
@@ -1204,10 +719,11 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         )
         .with_compaction(CompactionPolicy::rows(32));
-        idx.sum(100, 1500); // warm the chunk indexes
+        idx.read::<Sum>(100, 1500); // warm the chunk indexes
         let mut oracle = values.clone();
         let mut max_delta = 0;
         for i in 0..1000 {
@@ -1232,8 +748,11 @@ mod tests {
             idx.compactions_performed()
         );
         for (low, high) in [(0, 2000), (10_000, 11_000), (500, 10_500)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         assert!(idx.check_invariants());
     }
@@ -1244,11 +763,12 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             3,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         )
         .with_compaction(CompactionPolicy::rows(8).incremental(4));
-        idx.sum(0, 3000);
-        let snap = idx.snapshot().expect("concurrent chunks support snapshots");
+        idx.read::<Sum>(0, 3000);
+        let snap = idx.snapshot();
         assert_eq!(snap.epochs().len(), 3);
         // Churn across the designated-chunk rotation; the per-chunk
         // incremental policy merges piece by piece while the snapshot is
@@ -1260,17 +780,17 @@ mod tests {
         }
         for (low, high) in [(0, 3000), (100, 200), (2500, 3000)] {
             assert_eq!(
-                snap.count(low, high).0,
+                snap.read::<Count>(low, high).0,
                 ops::count(&values, low, high),
                 "pinned count [{low},{high})"
             );
             assert_eq!(
-                snap.sum(low, high).0,
+                snap.read::<Sum>(low, high).0,
                 ops::sum(&values, low, high),
                 "pinned sum [{low},{high})"
             );
         }
-        assert_eq!(idx.count(0, 3000).0, 3000, "live view converged");
+        assert_eq!(idx.read::<Count>(0, 3000).0, 3000, "live view converged");
         drop(snap);
         assert!(idx.check_invariants());
     }
@@ -1281,7 +801,8 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
         // Row ids are positional over the whole column.
         let oracle = |low: i64, high: i64| -> Vec<RowId> {
@@ -1295,23 +816,23 @@ mod tests {
             out
         };
         for (low, high) in [(0, 2000), (100, 300), (1999, 2000)] {
-            let (rows, m) = idx.select_rowids(low, high).expect("concurrent chunks");
-            assert_eq!(rows, oracle(low, high), "[{low},{high})");
+            let (rows, m) = idx.read::<RowIdSet>(low, high);
+            assert_eq!(rows.to_vec(), oracle(low, high), "[{low},{high})");
             assert_eq!(m.result_count, rows.len() as u64);
         }
         // Table-path writes: external ids round-trip, positional deletes
         // kill exactly one row among duplicates.
         idx.insert_row(500, 9000);
-        let (rows, _) = idx.select_rowids(500, 501).unwrap();
+        let rows = rowids(&idx, 500, 501);
         assert!(rows.contains(&9000));
         assert_eq!(rows.len(), 2, "seeded 500 plus the inserted row");
         let seeded = *rows.iter().find(|&&r| r != 9000).unwrap();
         assert_eq!(idx.delete_row(500, seeded).0, 1);
-        assert_eq!(idx.select_rowids(500, 501).unwrap().0, vec![9000]);
+        assert_eq!(rowids(&idx, 500, 501), vec![9000]);
         assert_eq!(idx.len(), 2000);
         // Plain inserts self-assign past the external id.
         idx.insert(777);
-        let (rows, _) = idx.select_rowids(777, 778).unwrap();
+        let rows = rowids(&idx, 777, 778);
         assert!(rows.contains(&9001));
         assert!(idx.check_invariants());
     }
@@ -1322,18 +843,23 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             3,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
-        idx.sum(0, 1200);
-        let before = idx.select_rowids(100, 200).unwrap().0;
-        let snap = idx.snapshot().expect("concurrent chunks");
+        idx.read::<Sum>(0, 1200);
+        let before = rowids(&idx, 100, 200);
+        let snap = idx.snapshot();
         for key in [100, 150, 199] {
             assert_eq!(idx.delete(key).0, 1);
             idx.insert(key);
         }
-        assert_eq!(snap.rowids(100, 200).0, before, "pinned rowid view");
+        assert_eq!(
+            snap.read::<RowIdSet>(100, 200).0.to_vec(),
+            before,
+            "pinned rowid view"
+        );
         drop(snap);
-        let after = idx.select_rowids(100, 200).unwrap().0;
+        let after = rowids(&idx, 100, 200);
         assert_eq!(after.len(), before.len());
         assert_ne!(after, before, "replacement rows have fresh ids");
         assert!(idx.check_invariants());
@@ -1341,70 +867,44 @@ mod tests {
 
     #[test]
     fn compressed_set_reads_match_flat_rowid_reads() {
+        // The flat reference is a scan over the column's (value, rowid)
+        // rows, never the index's own decoded set.
         let values = shuffled(3000);
-        let idx = ChunkedCracker::new(
-            values,
-            4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-        );
+        let mut rows: Vec<(i64, RowId)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as RowId))
+            .collect();
+        let oracle = |rows: &[(i64, RowId)], low: i64, high: i64| -> Vec<RowId> {
+            let mut out: Vec<RowId> = rows
+                .iter()
+                .filter(|&&(v, _)| v >= low && v < high)
+                .map(|&(_, r)| r)
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        let idx = ChunkedCracker::new(values, 4, LatchProtocol::Piece, RefinementPolicy::Always);
         idx.insert_row(950, 9000);
+        rows.push((950, 9000));
         for (low, high) in [(0, 3000), (900, 1100), (2999, 3000), (5, 5)] {
-            let (flat, _) = idx.select_rowids(low, high).expect("concurrent chunks");
-            let (set, m) = idx.select_rowid_set(low, high).expect("concurrent chunks");
-            assert_eq!(set.to_vec(), flat, "[{low},{high})");
-            assert_eq!(m.result_count, flat.len() as u64);
+            let expected = oracle(&rows, low, high);
+            let (set, m) = idx.read::<RowIdSet>(low, high);
+            assert_eq!(set.to_vec(), expected, "[{low},{high})");
+            assert_eq!(m.result_count, expected.len() as u64);
             assert_eq!(m.candidate_set_bytes, set.heap_bytes() as u64);
         }
-        // Snapshot set reads stay frozen like the flat path.
-        let snap = idx.snapshot().expect("concurrent chunks");
-        let before = snap.rowid_set(100, 200).0;
+        // Snapshot set reads stay frozen at the rows of their epoch.
+        let snap = idx.snapshot();
+        let pinned = oracle(&rows, 100, 200);
+        assert_eq!(snap.read::<RowIdSet>(100, 200).0.to_vec(), pinned);
         assert_eq!(idx.delete(150).0, 1);
         idx.insert(150);
-        assert_eq!(snap.rowid_set(100, 200).0, before, "pinned set view");
-        assert_eq!(snap.rowids(100, 200).0, before.to_vec());
-    }
-
-    #[test]
-    fn stochastic_chunks_do_not_offer_compressed_set_reads() {
-        let idx = ChunkedCracker::new(
-            shuffled(300),
-            2,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 5,
-            },
+        assert_eq!(
+            snap.read::<RowIdSet>(100, 200).0.to_vec(),
+            pinned,
+            "pinned set view"
         );
-        assert!(idx.select_rowid_set(0, 300).is_none());
-    }
-
-    #[test]
-    fn stochastic_chunks_do_not_offer_rowid_reads() {
-        let idx = ChunkedCracker::new(
-            shuffled(300),
-            2,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 5,
-            },
-        );
-        assert!(idx.select_rowids(0, 300).is_none());
-    }
-
-    #[test]
-    fn stochastic_chunks_do_not_offer_snapshots() {
-        let idx = ChunkedCracker::new(
-            shuffled(500),
-            2,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 9,
-            },
-        );
-        assert!(idx.snapshot().is_none());
-        // And a mixed... all-stochastic bail must not leak registrations
-        // on the concurrent chunks it visited first (all chunks share one
-        // backend today, so this just checks the None path is clean).
-        assert_eq!(idx.count(0, 500).0, 500);
     }
 
     #[test]
@@ -1413,47 +913,18 @@ mod tests {
         let idx = ChunkedCracker::new(
             values.clone(),
             4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
         let fresh = idx.structure_probe();
         assert_eq!(fresh.rows, 4000);
         // One piece per chunk before any query cracks anything.
         assert_eq!(fresh.piece_count(), 4);
-        idx.sum(500, 3500);
+        idx.read::<Sum>(500, 3500);
         let warmed = idx.structure_probe();
         assert_eq!(warmed.rows, 4000);
         // Every chunk cracked at both bounds: 3 pieces per chunk.
         assert_eq!(warmed.piece_count(), 12);
         assert_eq!(warmed.piece_sizes.iter().sum::<u64>(), 4000);
-        // Stochastic chunks report rows and pieces too.
-        let idx = ChunkedCracker::new(
-            values,
-            2,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 11,
-            },
-        );
-        idx.count(1000, 3000);
-        let probe = idx.structure_probe();
-        assert_eq!(probe.rows, 4000);
-        assert!(probe.piece_count() > 2);
-    }
-
-    #[test]
-    fn stochastic_chunks_inject_random_cracks() {
-        let idx = ChunkedCracker::new(
-            shuffled(20_000),
-            2,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 3,
-            },
-        );
-        idx.count(5000, 5100);
-        // Bound cracks alone would be 2 per chunk; random splits push the
-        // total well past that.
-        assert!(idx.crack_count() > 4, "got {}", idx.crack_count());
-        assert!(idx.check_invariants());
     }
 }

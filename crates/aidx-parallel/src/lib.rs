@@ -3,18 +3,20 @@
 //! The paper's protocols make adaptive indexing *safe* under concurrency;
 //! this crate makes it *scale*: refinement itself runs in parallel across
 //! cores, following *Main Memory Adaptive Indexing for Multi-core
-//! Systems* (Alvarez, Schuhknecht, Dittrich, Richter). Two designs are
-//! provided, both answering the paper's Q1/Q2 range aggregates with
-//! results identical to a scan:
+//! Systems* (Alvarez, Schuhknecht, Dittrich, Richter): one per-core
+//! cracker behind two fan-out strategies. Both designs implement
+//! [`aidx_core::ColumnIndex`], so both answer the one shape-generic read
+//! — `read::<S>(low, high)` for every [`aidx_core::ReadShape`] (count,
+//! sum, rowid set, key runs), live or through a snapshot — with results
+//! identical to a scan:
 //!
 //! * [`ChunkedCracker`] — **parallel-chunked cracking**: the column is
-//!   split positionally into per-core chunks, each an independent cracker
-//!   with its own table of contents and latch hierarchy
-//!   ([`ChunkBackend`] chooses the paper's concurrent protocols or
-//!   stochastic cracking per chunk). Queries fan out to every chunk over
-//!   a shared [`WorkerPool`] and partial aggregates are summed. Best for
-//!   early workloads, where per-query refinement dominates and
-//!   parallelising it wins.
+//!   split positionally into per-core chunks, each an independent
+//!   [`aidx_core::ConcurrentCracker`] with its own table of contents and
+//!   latch hierarchy under the paper's protocols. Reads fan out to every
+//!   chunk over a shared [`WorkerPool`] and the per-chunk answers are
+//!   merged by the read's shape. Best for early workloads, where
+//!   per-query refinement dominates and parallelising it wins.
 //! * [`RangePartitionedCracker`] — **range-partitioned cracking**: a
 //!   one-time parallel range partition gives each worker a disjoint key
 //!   range which it cracks **latch-free**, exclusive ownership replacing
@@ -28,10 +30,11 @@
 //!   and lets idle owners steal refinement work from loaded ones, so a
 //!   skewed or drifting workload cannot serialise on one owner.
 //!
-//! Per-query [`aidx_core::QueryMetrics`] are merged across workers with
-//! [`aidx_core::QueryMetrics::merge_parallel`] (work counters summed,
-//! wall-clock = critical path), so the experiment harness reports
-//! parallel arms in the same breakdown as the serial ones.
+//! Per-part answers and [`aidx_core::QueryMetrics`] are merged with
+//! [`aidx_core::ReadShape::merge`] (answers combined by shape, work
+//! counters summed, wall-clock = critical path), so the experiment
+//! harness reports parallel arms in the same breakdown as the serial
+//! ones.
 
 #![warn(missing_docs)]
 
@@ -39,7 +42,7 @@ pub mod chunked;
 pub mod pool;
 pub mod range_partitioned;
 
-pub use chunked::{ChunkBackend, ChunkedCracker, ChunkedSnapshot};
+pub use chunked::{ChunkedCracker, ChunkedSnapshot};
 pub use pool::{available_cores, WorkerPool};
 pub use range_partitioned::{
     AdaptiveConfig, RangePartitionedCracker, RangeSnapshot, Rebalance, RoutingStats,

@@ -4,9 +4,10 @@
 //! each range is owned by a dedicated worker thread that cracks a private
 //! index — partition boundaries are cracks chosen up front, the logical
 //! end point of "pieces as an adaptive latching granularity". A router
-//! maps a query's `[low, high)` range to the partitions it overlaps,
-//! sends each owner a request over its channel, and sums the partial
-//! answers; partitions outside the query range are never touched.
+//! maps a read's `[low, high)` range to the partitions it overlaps,
+//! sends each owner one typed read request over its channel — the same
+//! request for every [`ReadShape`] — and merges the partial answers by
+//! shape; partitions outside the read's range are never touched.
 //!
 //! Static partitioning is only as good as its initial sample: a workload
 //! that concentrates on one key range serialises on one owner while the
@@ -51,7 +52,7 @@
 use aidx_core::{
     dcheck,
     facade::{Condvar, Mutex, RwLock},
-    Aggregate, CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet,
+    ColumnIndex, CompactionPolicy, ConcurrentCracker, LatchProtocol, QueryMetrics, ReadShape,
 };
 use aidx_obs::{emit, StructureProbe, TraceEvent};
 use aidx_storage::RowId;
@@ -65,16 +66,10 @@ use std::time::{Duration, Instant};
 
 /// A request routed to one partition owner.
 enum OwnerRequest {
-    /// Answer `agg` over `[low, high)` within the partition, cracking as a
-    /// side effect — at the partition-local snapshot `epoch` if one is
-    /// given — and reply with `(partial value, metrics)`.
-    Query {
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        epoch: Option<u64>,
-        reply: Sender<(i128, QueryMetrics)>,
-    },
+    /// Read `[low, high)` within the partition in the job's shape,
+    /// cracking as a side effect — at the partition-local snapshot epoch
+    /// if the job carries one — and reply with `(answer, metrics)`.
+    Read(Box<dyn ReadJob>),
     /// Insert one row `(value, rowid)` into the partition's index (the
     /// partition *owns* the key range, so no other partition is involved).
     Insert {
@@ -94,35 +89,6 @@ enum OwnerRequest {
         value: i64,
         rowid: RowId,
         reply: Sender<(u64, QueryMetrics)>,
-    },
-    /// Reply with the row ids of the partition's rows in `[low, high)` —
-    /// at the partition-local snapshot `epoch` if one is given.
-    SelectRowids {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(Vec<RowId>, QueryMetrics)>,
-    },
-    /// Reply with a block-compressed [`RowIdSet`] of the partition's rows
-    /// in `[low, high)` — at the partition-local snapshot `epoch` if one
-    /// is given. The owner builds the set from its own per-piece sorted
-    /// runs; the router merges the per-partition sets without decoding.
-    SelectRowidSet {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(RowIdSet, QueryMetrics)>,
-    },
-    /// Reply with the partition's `[low, high)` rows as lazily-merged
-    /// [`KeyRuns`] — at the partition-local snapshot `epoch` if one is
-    /// given. Runs stay raw (unsorted, per-piece); the router absorbs the
-    /// per-partition collections so the consuming join pays for sorting
-    /// only at runs its merge frontier actually reaches.
-    SelectKeyRuns {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(KeyRuns, QueryMetrics)>,
     },
     /// Register a snapshot at the partition's current epoch and reply
     /// with it.
@@ -179,6 +145,68 @@ enum Redirect {
     Split { at: i64, to: Sender<OwnerRequest> },
     /// This partition merged away: everything goes to the absorber.
     All { to: Sender<OwnerRequest> },
+}
+
+/// One read routed to a partition owner, whatever its shape: the single
+/// read request. The job answers itself on the owner's index; when a split
+/// redirect cuts its range, it answers the owned half locally, forwards
+/// the rest to the split child, and merges the two — the router still
+/// receives exactly one reply per request it sent.
+trait ReadJob: Send {
+    /// Lower bound of the requested range (reads route by range start).
+    fn low(&self) -> i64;
+
+    /// Exclusive upper bound of the requested range.
+    fn high(&self) -> i64;
+
+    /// Answers the read on `index` and replies.
+    fn run(self: Box<Self>, index: &ConcurrentCracker);
+
+    /// Answers `[low, at)` on `index`, forwards `[at, high)` to the split
+    /// child `to`, and replies once with the merged answer.
+    fn straddle(self: Box<Self>, index: &ConcurrentCracker, at: i64, to: &Sender<OwnerRequest>);
+}
+
+/// The typed read job behind [`OwnerRequest::Read`].
+struct Read<S: ReadShape> {
+    low: i64,
+    high: i64,
+    /// Partition-local snapshot epoch, if the read is pinned.
+    epoch: Option<u64>,
+    reply: Sender<(S::Output, QueryMetrics)>,
+}
+
+impl<S: ReadShape> ReadJob for Read<S> {
+    fn low(&self) -> i64 {
+        self.low
+    }
+
+    fn high(&self) -> i64 {
+        self.high
+    }
+
+    fn run(self: Box<Self>, index: &ConcurrentCracker) {
+        // The router may have given up only if the whole index was
+        // dropped mid-query; nothing useful to do then.
+        let _ = self
+            .reply
+            .send(index.read::<S>(self.low, self.high, self.epoch));
+    }
+
+    fn straddle(self: Box<Self>, index: &ConcurrentCracker, at: i64, to: &Sender<OwnerRequest>) {
+        debug_assert!(self.epoch.is_none(), "no snapshots during a repartition");
+        let local = index.read::<S>(self.low, at, self.epoch);
+        let (reply, remote) = channel();
+        let _ = to.send(OwnerRequest::Read(Box::new(Read::<S> {
+            low: at,
+            high: self.high,
+            epoch: self.epoch,
+            reply,
+        })));
+        if let Ok(remote) = remote.recv() {
+            let _ = self.reply.send(S::merge(vec![local, remote]));
+        }
+    }
 }
 
 /// Shared per-column routing counters (owners write, the router reads).
@@ -594,10 +622,7 @@ impl OwnerCtx {
             OwnerRequest::Insert { value, .. }
             | OwnerRequest::Delete { value, .. }
             | OwnerRequest::DeleteRow { value, .. } => *value >= at,
-            OwnerRequest::Query { low, .. }
-            | OwnerRequest::SelectRowids { low, .. }
-            | OwnerRequest::SelectRowidSet { low, .. }
-            | OwnerRequest::SelectKeyRuns { low, .. } => *low >= at,
+            OwnerRequest::Read(job) => job.low() >= at,
             _ => false,
         };
         if forward_whole {
@@ -605,158 +630,18 @@ impl OwnerCtx {
             return None;
         }
         match request {
-            OwnerRequest::Query {
-                low,
-                high,
-                agg,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
+            OwnerRequest::Read(job) if job.high() > at => {
                 self.note_op();
-                let (local, local_m) = self.run_query(low, at, agg, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::Query {
-                    low: at,
-                    high,
-                    agg,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((local + remote, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectRowids {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (mut rows, local_m) = self.run_rowids(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectRowids {
-                    low: at,
-                    high,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    rows.extend(remote);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((rows, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectRowidSet {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (local, local_m) = self.run_rowid_set(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectRowidSet {
-                    low: at,
-                    high,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    let set = RowIdSet::merge_sets(&[local, remote]);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((set, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectKeyRuns {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (mut local, local_m) = self.run_key_runs(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectKeyRuns {
-                    low: at,
-                    high,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    local.absorb(remote);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((local, merged));
-                }
+                job.straddle(&self.index, at, to);
                 None
             }
             other => Some(other),
         }
     }
 
-    fn run_query(
-        &self,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        epoch: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        match (agg, epoch) {
-            (Aggregate::Count, None) => {
-                let (c, m) = self.index.count(low, high);
-                (c as i128, m)
-            }
-            (Aggregate::Sum, None) => self.index.sum(low, high),
-            (Aggregate::Count, Some(epoch)) => {
-                let (c, m) = self.index.count_at(low, high, epoch);
-                (c as i128, m)
-            }
-            (Aggregate::Sum, Some(epoch)) => self.index.sum_at(low, high, epoch),
-        }
-    }
-
-    fn run_rowids(&self, low: i64, high: i64, epoch: Option<u64>) -> (Vec<RowId>, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_rowids_at(low, high, epoch),
-            None => self.index.select_rowids(low, high),
-        }
-    }
-
-    fn run_rowid_set(&self, low: i64, high: i64, epoch: Option<u64>) -> (RowIdSet, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_rowid_set_at(low, high, epoch),
-            None => self.index.select_rowid_set(low, high),
-        }
-    }
-
-    fn run_key_runs(&self, low: i64, high: i64, epoch: Option<u64>) -> (KeyRuns, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_key_runs_at(low, high, epoch),
-            None => self.index.select_key_runs(low, high),
-        }
-    }
-
     fn handle_local(&mut self, request: OwnerRequest) {
         match request {
-            OwnerRequest::Query {
-                low,
-                high,
-                agg,
-                epoch,
-                reply,
-            } => {
-                // The router may have given up only if the whole index
-                // was dropped mid-query; nothing useful to do then.
-                let _ = reply.send(self.run_query(low, high, agg, epoch));
-            }
+            OwnerRequest::Read(job) => job.run(&self.index),
             OwnerRequest::Insert {
                 value,
                 rowid,
@@ -779,30 +664,6 @@ impl OwnerCtx {
                 let (removed, metrics) = self.index.delete_row(value, rowid);
                 self.size.fetch_sub(removed as usize, Ordering::Relaxed);
                 let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::SelectRowids {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_rowids(low, high, epoch));
-            }
-            OwnerRequest::SelectRowidSet {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_rowid_set(low, high, epoch));
-            }
-            OwnerRequest::SelectKeyRuns {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_key_runs(low, high, epoch));
             }
             OwnerRequest::SnapshotOpen { reply } => {
                 let _ = reply.send(self.index.register_snapshot_epoch());
@@ -1356,66 +1217,6 @@ impl RangePartitionedCracker {
         (removed, metrics)
     }
 
-    /// Q1: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self.route(low, high, Aggregate::Count);
-        (value as u64, metrics)
-    }
-
-    /// Q2: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.route(low, high, Aggregate::Sum)
-    }
-
-    /// Row ids of every live row with a value in `[low, high)` (sorted
-    /// ascending), routed to the owners of the partitions the range
-    /// overlaps — partitions outside it are never touched.
-    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (Vec::new(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_rowids(&table, low, high, None)
-        };
-        collect_rowids(reply_rx, fanout, start)
-    }
-
-    /// As [`RangePartitionedCracker::select_rowids`], but each
-    /// overlapping owner builds a block-compressed [`RowIdSet`] from its
-    /// own per-piece sorted runs and the router k-way merges the
-    /// per-partition sets (partitions are key-disjoint, hence
-    /// rowid-disjoint) without decoding them to flat vectors.
-    pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (RowIdSet::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_rowid_set(&table, low, high, None)
-        };
-        collect_rowid_sets(reply_rx, fanout, start)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of every live row with a value
-    /// in `[low, high)`, routed to the owners of the partitions the range
-    /// overlaps and absorbed into one [`KeyRuns`] collection. Runs keep
-    /// their raw per-piece order; the consuming join's merge iterator
-    /// sorts only the runs its frontier reaches.
-    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (KeyRuns::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_key_runs(&table, low, high, None)
-        };
-        collect_key_runs(reply_rx, fanout, start)
-    }
-
     /// Opens a snapshot across every partition: one epoch per owner,
     /// registered in partition order under the snapshot gate. Because
     /// every write touches exactly one partition, the per-partition
@@ -1451,23 +1252,6 @@ impl RangePartitionedCracker {
             table,
             epochs,
         }
-    }
-
-    /// Routes one aggregate to the owners of the partitions it overlaps
-    /// (clipped per partition) and merges their partial answers.
-    fn route(&self, low: i64, high: i64, agg: Aggregate) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        // The pin covers only the sends: once a request is enqueued, a
-        // routing-table swap can't lose it (the redirect protocol drains
-        // the old generation before retiring).
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_query(&table, low, high, agg, None)
-        };
-        collect_aggregates(reply_rx, fanout, start)
     }
 
     /// Sums `(delta rows, compactions + incremental steps)` across all
@@ -1559,6 +1343,40 @@ impl RangePartitionedCracker {
         let ok = (0..fanout).all(|_| reply_rx.recv().unwrap_or(false));
         shared.steal_pause.store(false, Ordering::SeqCst);
         ok
+    }
+}
+
+impl ColumnIndex for RangePartitionedCracker {
+    /// Routes the read to the owners of the partitions `[low, high)`
+    /// overlaps — clipped per partition; partitions outside the range are
+    /// never touched — and merges their answers (partitions are
+    /// key-disjoint, hence rowid-disjoint).
+    fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
+        let start = Instant::now();
+        // The pin covers only the sends: once a request is enqueued, a
+        // routing-table swap can't lose it (the redirect protocol drains
+        // the old generation before retiring).
+        let (reply_rx, fanout) = {
+            let table = self.shared.pin_table();
+            send_read::<S>(&table, low, high, None)
+        };
+        collect_read::<S>(reply_rx, fanout, start)
+    }
+
+    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        RangePartitionedCracker::insert_row(self, value, rowid)
+    }
+
+    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        RangePartitionedCracker::delete_row(self, value, rowid)
+    }
+
+    fn check_invariants(&self) -> bool {
+        RangePartitionedCracker::check_invariants(self)
+    }
+
+    fn structure_probe(&self) -> StructureProbe {
+        RangePartitionedCracker::structure_probe(self)
     }
 }
 
@@ -1872,61 +1690,13 @@ impl RangeSnapshot<'_> {
         &self.epochs
     }
 
-    /// Q1 at the snapshot: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
+    /// Reads `[low, high)` in shape `S` as of the snapshot: routed like a
+    /// live read through the captured routing generation, each owner
+    /// answering at its pinned epoch.
+    pub fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
         let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        let (reply_rx, fanout) =
-            send_query(&self.table, low, high, Aggregate::Count, Some(&self.epochs));
-        let (value, metrics) = collect_aggregates(reply_rx, fanout, start);
-        (value as u64, metrics)
-    }
-
-    /// Q2 at the snapshot: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        let (reply_rx, fanout) =
-            send_query(&self.table, low, high, Aggregate::Sum, Some(&self.epochs));
-        collect_aggregates(reply_rx, fanout, start)
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot (sorted ascending).
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (Vec::new(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_rowids(&self.table, low, high, Some(&self.epochs));
-        collect_rowids(reply_rx, fanout, start)
-    }
-
-    /// As [`RangeSnapshot::rowids`], materialised as a compressed
-    /// [`RowIdSet`] merged across the partitions' pinned epochs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (RowIdSet::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_rowid_set(&self.table, low, high, Some(&self.epochs));
-        collect_rowid_sets(reply_rx, fanout, start)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of the rows with values in
-    /// `[low, high)` as of the snapshot, absorbed across the partitions'
-    /// pinned epochs.
-    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (KeyRuns::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_key_runs(&self.table, low, high, Some(&self.epochs));
-        collect_key_runs(reply_rx, fanout, start)
+        let (reply_rx, fanout) = send_read::<S>(&self.table, low, high, Some(&self.epochs));
+        collect_read::<S>(reply_rx, fanout, start)
     }
 }
 
@@ -1949,188 +1719,50 @@ fn partition_of(splits: &[i64], v: i64) -> usize {
     splits.partition_point(|&s| s <= v)
 }
 
-fn empty_metrics(start: Instant) -> QueryMetrics {
-    QueryMetrics {
-        total: start.elapsed(),
-        ..QueryMetrics::default()
-    }
-}
-
-/// Fans an aggregate out to the owners of the partitions `[low, high)`
-/// overlaps, clipped per partition. Returns the shared reply channel and
-/// the fan-out count; the caller collects after releasing its table pin.
-fn send_query(
+/// Sends one read to the owners of the partitions `[low, high)` overlaps,
+/// clipped per partition and pinned at their snapshot epochs if given.
+/// Returns the shared reply channel and the fan-out count (0 for an empty
+/// range); the caller collects after releasing its table pin.
+fn send_read<S: ReadShape>(
     table: &RoutingTable,
     low: i64,
     high: i64,
-    agg: Aggregate,
     epochs: Option<&[u64]>,
-) -> (Receiver<(i128, QueryMetrics)>, usize) {
+) -> (Receiver<(S::Output, QueryMetrics)>, usize) {
+    let (reply_tx, reply_rx) = channel();
+    if low >= high {
+        return (reply_rx, 0);
+    }
     let first = partition_of(&table.splits, low);
     let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
     for p in first..=last {
         let (lo, hi) = table.clip(p, low, high);
+        let job = Read::<S> {
+            low: lo,
+            high: hi,
+            epoch: epochs.map(|e| e[p]),
+            reply: reply_tx.clone(),
+        };
         table.partitions[p]
             .sender
-            .send(OwnerRequest::Query {
-                low: lo,
-                high: hi,
-                agg,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
+            .send(OwnerRequest::Read(Box::new(job)))
             .expect("partition owner exited early");
     }
     (reply_rx, last - first + 1)
 }
 
-fn send_rowids(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(Vec<RowId>, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectRowids {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn send_rowid_set(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(RowIdSet, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectRowidSet {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn collect_aggregates(
-    reply_rx: Receiver<(i128, QueryMetrics)>,
+/// Collects the `fanout` partial answers of one read and merges them.
+fn collect_read<S: ReadShape>(
+    reply_rx: Receiver<(S::Output, QueryMetrics)>,
     fanout: usize,
     start: Instant,
-) -> (i128, QueryMetrics) {
-    let mut value: i128 = 0;
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        value += partial;
-        parts.push(part_metrics);
-    }
-    let mut metrics = QueryMetrics::merge_parallel(parts);
+) -> (S::Output, QueryMetrics) {
+    let parts = (0..fanout)
+        .map(|_| reply_rx.recv().expect("partition owner died"))
+        .collect();
+    let (out, mut metrics) = S::merge(parts);
     metrics.total = start.elapsed();
-    (value, metrics)
-}
-
-fn collect_rowids(
-    reply_rx: Receiver<(Vec<RowId>, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (Vec<RowId>, QueryMetrics) {
-    let mut rows = Vec::new();
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        rows.extend(partial);
-        parts.push(part_metrics);
-    }
-    rows.sort_unstable();
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = rows.len() as u64;
-    metrics.total = start.elapsed();
-    (rows, metrics)
-}
-
-fn send_key_runs(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(KeyRuns, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectKeyRuns {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn collect_key_runs(
-    reply_rx: Receiver<(KeyRuns, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (KeyRuns, QueryMetrics) {
-    let mut merged = KeyRuns::default();
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        merged.absorb(partial);
-        parts.push(part_metrics);
-    }
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = merged.total_rows() as u64;
-    metrics.total = start.elapsed();
-    (merged, metrics)
-}
-
-fn collect_rowid_sets(
-    reply_rx: Receiver<(RowIdSet, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (RowIdSet, QueryMetrics) {
-    let mut sets = Vec::with_capacity(fanout);
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        sets.push(partial);
-        parts.push(part_metrics);
-    }
-    let merged = RowIdSet::merge_sets(&sets);
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = merged.len() as u64;
-    // Report the footprint of the set the caller actually receives, not
-    // the sum of the transient per-partition parts.
-    metrics.candidate_set_bytes = merged.heap_bytes() as u64;
-    metrics.total = start.elapsed();
-    (merged, metrics)
+    (out, metrics)
 }
 
 /// Picks `partitions - 1` split keys from a deterministic sample so the
@@ -2173,11 +1805,17 @@ fn stripe_slices<T>(values: &[T], n: usize) -> Vec<&[T]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_core::{Count, KeyRuns, RowIdSet, Sum};
     use aidx_storage::ops;
     use std::thread;
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
+    }
+
+    /// A live rowid read, decoded to a sorted vector.
+    fn rowids(idx: &RangePartitionedCracker, low: i64, high: i64) -> Vec<RowId> {
+        idx.read::<RowIdSet>(low, high).0.to_vec()
     }
 
     /// An adaptive config with no monitor thread and no stealing:
@@ -2202,13 +1840,13 @@ mod tests {
             assert_eq!(idx.partition_count(), partitions);
             assert_eq!(idx.len(), 5000);
             for (low, high) in [(10, 4000), (100, 200), (0, 5000), (4999, 5000), (300, 100)] {
-                let (c, _) = idx.count(low, high);
+                let (c, _) = idx.read::<Count>(low, high);
                 assert_eq!(
                     c,
                     ops::count(&values, low, high),
                     "{partitions} parts count"
                 );
-                let (s, _) = idx.sum(low, high);
+                let (s, _) = idx.read::<Sum>(low, high);
                 assert_eq!(s, ops::sum(&values, low, high), "{partitions} parts sum");
             }
             assert!(idx.check_invariants(), "{partitions} parts");
@@ -2238,7 +1876,7 @@ mod tests {
         let idx = RangePartitionedCracker::new(values.clone(), 4);
         // A one-key query overlaps exactly one partition; its metrics come
         // from a single owner, so at most 2 cracks happen.
-        let (c, m) = idx.count(100, 101);
+        let (c, m) = idx.read::<Count>(100, 101);
         assert_eq!(c, 1);
         assert!(m.cracks_performed <= 2);
     }
@@ -2249,8 +1887,11 @@ mod tests {
         let values: Vec<i64> = (0..9000).map(|i| (i % 13) as i64).collect();
         let idx = RangePartitionedCracker::new(values.clone(), 4);
         for (low, high) in [(0, 13), (3, 7), (12, 13), (5, 5)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&values, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&values, low, high));
         }
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 9000);
     }
@@ -2260,10 +1901,10 @@ mod tests {
         let idx = RangePartitionedCracker::new(vec![], 4);
         assert!(idx.is_empty());
         assert_eq!(idx.partition_count(), 1);
-        assert_eq!(idx.count(0, 10).0, 0);
+        assert_eq!(idx.read::<Count>(0, 10).0, 0);
         let idx = RangePartitionedCracker::new(shuffled(100), 4);
-        assert_eq!(idx.count(50, 50).0, 0);
-        assert_eq!(idx.sum(70, 20).0, 0);
+        assert_eq!(idx.read::<Count>(50, 50).0, 0);
+        assert_eq!(idx.read::<Sum>(70, 20).0, 0);
     }
 
     #[test]
@@ -2284,9 +1925,9 @@ mod tests {
                     seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                     let b = (seed >> 17) as i64 % n as i64;
                     let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                    let (c, _) = idx.count(low, high);
+                    let (c, _) = idx.read::<Count>(low, high);
                     assert_eq!(c, ops::count(&values, low, high), "[{low},{high})");
-                    let (s, _) = idx.sum(low, high);
+                    let (s, _) = idx.read::<Sum>(low, high);
                     assert_eq!(s, ops::sum(&values, low, high), "[{low},{high})");
                 }
             }));
@@ -2301,7 +1942,7 @@ mod tests {
     fn inserts_route_to_the_owning_partition() {
         let values = shuffled(4000);
         let idx = RangePartitionedCracker::new(values.clone(), 4);
-        idx.sum(0, 4000); // warm
+        idx.read::<Sum>(0, 4000); // warm
         let sizes_before = idx.partition_sizes();
         let m = idx.insert(100);
         assert_eq!(m.inserts_applied, 1);
@@ -2323,8 +1964,11 @@ mod tests {
         assert_eq!(dm.deletes_applied, 1);
         oracle.retain(|&v| v != 100);
         for (low, high) in [(0, 4000), (50, 150), (3800, 4000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         assert_eq!(idx.len(), oracle.len());
         assert!(idx.check_invariants());
@@ -2342,16 +1986,16 @@ mod tests {
                 for i in 0..40u64 {
                     idx.insert((n as u64 + t * 40 + i) as i64);
                     assert_eq!(idx.delete((t * 40 + i) as i64).0, 1);
-                    idx.count(0, n as i64);
+                    idx.read::<Count>(0, n as i64);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(idx.count(i64::MIN, i64::MAX).0, n as u64);
-        assert_eq!(idx.count(0, 160).0, 0);
-        assert_eq!(idx.count(n as i64, (n + 160) as i64).0, 160);
+        assert_eq!(idx.read::<Count>(i64::MIN, i64::MAX).0, n as u64);
+        assert_eq!(idx.read::<Count>(0, 160).0, 0);
+        assert_eq!(idx.read::<Count>(n as i64, (n + 160) as i64).0, 160);
         assert_eq!(idx.len(), n);
         assert!(idx.check_invariants());
     }
@@ -2360,7 +2004,7 @@ mod tests {
     fn per_partition_compaction_bounds_each_partitions_delta() {
         let values = shuffled(4000);
         let idx = RangePartitionedCracker::with_compaction_threshold(values.clone(), 4, 16);
-        idx.sum(0, 4000); // warm: every partition cracks
+        idx.read::<Sum>(0, 4000); // warm: every partition cracks
         let mut oracle = values.clone();
         let mut max_pending = 0;
         for i in 0..800 {
@@ -2379,8 +2023,11 @@ mod tests {
         let (_, merges) = idx.delta_stats();
         assert!(merges >= 800 / 64, "eager merges happened: {merges}");
         for (low, high) in [(0, 4000), (100, 300), (3000, 4000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         assert_eq!(idx.len(), oracle.len());
         assert!(idx.check_invariants());
@@ -2394,7 +2041,7 @@ mod tests {
             4,
             CompactionPolicy::rows(16).incremental(4),
         );
-        idx.sum(0, 4000); // warm: every partition cracks
+        idx.read::<Sum>(0, 4000); // warm: every partition cracks
         let mut oracle = values.clone();
         let mut max_pending = 0;
         // Churn: delete + re-insert spread across partitions, so the
@@ -2417,8 +2064,11 @@ mod tests {
         let (_, merges) = idx.delta_stats();
         assert!(merges > 0, "incremental steps ran: {merges}");
         for (low, high) in [(0, 4000), (100, 300), (3000, 4000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         assert_eq!(idx.len(), oracle.len());
         assert!(idx.check_invariants());
@@ -2428,7 +2078,7 @@ mod tests {
     fn snapshot_pins_every_partition() {
         let values = shuffled(4000);
         let idx = RangePartitionedCracker::new(values.clone(), 4);
-        idx.sum(0, 4000);
+        idx.read::<Sum>(0, 4000);
         let snap = idx.snapshot();
         assert_eq!(snap.epochs().len(), 4);
         // Writes to several partitions after the snapshot are invisible
@@ -2440,18 +2090,18 @@ mod tests {
         }
         for (low, high) in [(0, 4000), (0, 50), (1000, 1050), (3000, 3050)] {
             assert_eq!(
-                snap.count(low, high).0,
+                snap.read::<Count>(low, high).0,
                 ops::count(&values, low, high),
                 "pinned count [{low},{high})"
             );
             assert_eq!(
-                snap.sum(low, high).0,
+                snap.read::<Sum>(low, high).0,
                 ops::sum(&values, low, high),
                 "pinned sum [{low},{high})"
             );
         }
         // The live view sees the churn (each key net +1).
-        assert_eq!(idx.count(0, 4000).0, 4004);
+        assert_eq!(idx.read::<Count>(0, 4000).0, 4004);
         drop(snap);
         assert!(idx.check_invariants());
     }
@@ -2464,7 +2114,7 @@ mod tests {
             3,
             CompactionPolicy::rows(8).incremental(4),
         );
-        idx.sum(0, 3000);
+        idx.read::<Sum>(0, 3000);
         let snap = idx.snapshot();
         // Churn enough rows that every partition's threshold trips
         // several times — at least 3 incremental steps per partition.
@@ -2477,12 +2127,12 @@ mod tests {
         assert!(merges >= 3, "steps ran while the snapshot was pinned");
         for (low, high) in [(0, 3000), (100, 200), (2500, 3000)] {
             assert_eq!(
-                snap.count(low, high).0,
+                snap.read::<Count>(low, high).0,
                 ops::count(&values, low, high),
                 "pinned count [{low},{high}) across steps"
             );
             assert_eq!(
-                snap.sum(low, high).0,
+                snap.read::<Sum>(low, high).0,
                 ops::sum(&values, low, high),
                 "pinned sum [{low},{high}) across steps"
             );
@@ -2506,18 +2156,18 @@ mod tests {
             out
         };
         for (low, high) in [(0, 4000), (100, 300), (3999, 4000), (300, 100)] {
-            let (rows, m) = idx.select_rowids(low, high);
-            assert_eq!(rows, oracle(low, high), "[{low},{high})");
+            let (rows, m) = idx.read::<RowIdSet>(low, high);
+            assert_eq!(rows.to_vec(), oracle(low, high), "[{low},{high})");
             assert_eq!(m.result_count, rows.len() as u64);
         }
         // Table-path writes route to the owning partition.
         idx.insert_row(700, 9000);
-        let (rows, _) = idx.select_rowids(700, 701);
+        let rows = rowids(&idx, 700, 701);
         assert!(rows.contains(&9000));
         assert_eq!(rows.len(), 2);
         let seeded = *rows.iter().find(|&&r| r != 9000).unwrap();
         assert_eq!(idx.delete_row(700, seeded).0, 1);
-        assert_eq!(idx.select_rowids(700, 701).0, vec![9000]);
+        assert_eq!(rowids(&idx, 700, 701), vec![9000]);
         assert_eq!(idx.delete_row(700, seeded).0, 0, "already gone");
         assert_eq!(idx.len(), 4000);
         assert!(idx.check_invariants());
@@ -2531,16 +2181,20 @@ mod tests {
             3,
             CompactionPolicy::rows(8).incremental(4),
         );
-        idx.sum(0, 3000);
-        let before = idx.select_rowids(1000, 1100).0;
+        idx.read::<Sum>(0, 3000);
+        let before = rowids(&idx, 1000, 1100);
         let snap = idx.snapshot();
         for key in [1000, 1050, 1099] {
             assert_eq!(idx.delete(key).0, 1);
             idx.insert(key);
         }
-        assert_eq!(snap.rowids(1000, 1100).0, before, "pinned rowid view");
+        assert_eq!(
+            snap.read::<RowIdSet>(1000, 1100).0.to_vec(),
+            before,
+            "pinned rowid view"
+        );
         drop(snap);
-        let after = idx.select_rowids(1000, 1100).0;
+        let after = rowids(&idx, 1000, 1100);
         assert_eq!(after.len(), before.len());
         assert_ne!(after, before, "replacement rows have fresh ids");
         assert!(idx.check_invariants());
@@ -2548,23 +2202,44 @@ mod tests {
 
     #[test]
     fn compressed_set_reads_match_flat_rowid_reads() {
+        // The flat reference is a scan over the column's (value, rowid)
+        // rows, never the index's own decoded set.
         let values = shuffled(4000);
+        let mut rows: Vec<(i64, RowId)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as RowId))
+            .collect();
+        let oracle = |rows: &[(i64, RowId)], low: i64, high: i64| -> Vec<RowId> {
+            let mut out: Vec<RowId> = rows
+                .iter()
+                .filter(|&&(v, _)| v >= low && v < high)
+                .map(|&(_, r)| r)
+                .collect();
+            out.sort_unstable();
+            out
+        };
         let idx = RangePartitionedCracker::new(values, 4);
         idx.insert_row(700, 9000);
+        rows.push((700, 9000));
         for (low, high) in [(0, 4000), (600, 800), (3999, 4000), (300, 100)] {
-            let (flat, _) = idx.select_rowids(low, high);
-            let (set, m) = idx.select_rowid_set(low, high);
-            assert_eq!(set.to_vec(), flat, "[{low},{high})");
-            assert_eq!(m.result_count, flat.len() as u64);
+            let expected = oracle(&rows, low, high);
+            let (set, m) = idx.read::<RowIdSet>(low, high);
+            assert_eq!(set.to_vec(), expected, "[{low},{high})");
+            assert_eq!(m.result_count, expected.len() as u64);
             assert_eq!(m.candidate_set_bytes, set.heap_bytes() as u64);
         }
-        // Snapshot set reads stay frozen like the flat path.
+        // Snapshot set reads stay frozen at the rows of their epoch.
         let snap = idx.snapshot();
-        let before = snap.rowid_set(1000, 1100).0;
+        let pinned = oracle(&rows, 1000, 1100);
+        assert_eq!(snap.read::<RowIdSet>(1000, 1100).0.to_vec(), pinned);
         assert_eq!(idx.delete(1050).0, 1);
         idx.insert(1050);
-        assert_eq!(snap.rowid_set(1000, 1100).0, before, "pinned set view");
-        assert_eq!(snap.rowids(1000, 1100).0, before.to_vec());
+        assert_eq!(
+            snap.read::<RowIdSet>(1000, 1100).0.to_vec(),
+            pinned,
+            "pinned set view"
+        );
         drop(snap);
         assert!(idx.check_invariants());
     }
@@ -2590,7 +2265,7 @@ mod tests {
                     seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                     let b = (seed >> 17) as i64 % n as i64;
                     let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                    let (c, _) = idx.count(low, high);
+                    let (c, _) = idx.read::<Count>(low, high);
                     assert_eq!(c, ops::count(&values, low, high), "[{low},{high})");
                 }
             }));
@@ -2618,9 +2293,9 @@ mod tests {
         // Narrow queries against the low end: the routed load skews to
         // partition 0.
         for i in 0..20 {
-            idx.count(i, i + 5);
+            idx.read::<Count>(i, i + 5);
         }
-        idx.sum(0, 4000); // cracks every partition
+        idx.read::<Sum>(0, 4000); // cracks every partition
         let probe = idx.structure_probe();
         assert_eq!(probe.rows, 4000);
         assert_eq!(probe.partition_load.len(), 4);
@@ -2644,7 +2319,7 @@ mod tests {
     #[test]
     fn drop_joins_owner_threads() {
         let idx = RangePartitionedCracker::new(shuffled(1000), 4);
-        idx.count(10, 500);
+        idx.read::<Count>(10, 500);
         drop(idx); // must not hang or leak threads
     }
 
@@ -2670,14 +2345,17 @@ mod tests {
         assert!(!RangePartitionedCracker::new(vec![1, 2], 1).is_adaptive());
         let mut oracle = values.clone();
         for (low, high) in [(0, 6000), (100, 200), (5999, 6000), (300, 100)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         idx.insert(42);
         oracle.push(42);
         assert_eq!(idx.delete(100).0, 1);
         oracle.retain(|&v| v != 100);
-        assert_eq!(idx.count(0, 6000).0, ops::count(&oracle, 0, 6000));
+        assert_eq!(idx.read::<Count>(0, 6000).0, ops::count(&oracle, 0, 6000));
         assert_eq!(idx.len(), oracle.len());
         assert_eq!(idx.try_rebalance(), Rebalance::Balanced);
         assert_eq!(idx.partition_count(), 3);
@@ -2691,7 +2369,7 @@ mod tests {
         // Hammer the low end: all load lands on partition 0.
         for i in 0..300i64 {
             let low = i % 1000;
-            idx.count(low, low + 50);
+            idx.read::<Count>(low, low + 50);
         }
         let outcome = idx.try_rebalance();
         assert!(
@@ -2704,15 +2382,18 @@ mod tests {
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
         let mut oracle = values.clone();
         for (low, high) in [(0, 8000), (0, 1050), (500, 600), (7000, 8000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&oracle, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&oracle, low, high));
         }
         // Writes still route correctly through the new generation.
         idx.insert(500);
         oracle.push(500);
         assert_eq!(idx.delete(501).0, 1);
         oracle.retain(|&v| v != 501);
-        assert_eq!(idx.count(0, 8000).0, ops::count(&oracle, 0, 8000));
+        assert_eq!(idx.read::<Count>(0, 8000).0, ops::count(&oracle, 0, 8000));
         assert_eq!(idx.len(), oracle.len());
         assert!(idx.check_invariants());
     }
@@ -2727,7 +2408,7 @@ mod tests {
         // adjacent pair (1, 2) instead of splitting.
         for i in 0..300i64 {
             let low = i % 500;
-            idx.count(low, low + 20);
+            idx.read::<Count>(low, low + 20);
         }
         let outcome = idx.try_rebalance();
         assert!(
@@ -2738,13 +2419,16 @@ mod tests {
         assert_eq!(idx.merges_performed(), 1);
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 9000);
         for (low, high) in [(0, 9000), (0, 520), (4000, 8000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&values, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&values, low, high));
         }
         // With a freed owner the still-hot partition can now split.
         for i in 0..300i64 {
             let low = i % 500;
-            idx.count(low, low + 20);
+            idx.read::<Count>(low, low + 20);
         }
         let outcome = idx.try_rebalance();
         assert!(
@@ -2752,7 +2436,7 @@ mod tests {
             "after the merge the hot partition splits: {outcome:?}"
         );
         assert_eq!(idx.partition_count(), 3);
-        assert_eq!(idx.count(0, 9000).0, 9000);
+        assert_eq!(idx.read::<Count>(0, 9000).0, 9000);
         assert!(idx.check_invariants());
     }
 
@@ -2763,24 +2447,48 @@ mod tests {
         let mut config = quiet(1.05, 64, 1);
         config.max_partitions = 6;
         let idx = Arc::new(RangePartitionedCracker::adaptive(values.clone(), 4, config));
+        // Every (key, rowid) row of the column, sorted: row ids are the
+        // base positions.
+        let mut rows: Vec<(i64, RowId)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as RowId))
+            .collect();
+        rows.sort_unstable();
+        let rows = Arc::new(rows);
         let stop = Arc::new(AtomicBool::new(false));
         let mut clients = Vec::new();
         for _ in 0..4 {
             let idx = Arc::clone(&idx);
             let stop = Arc::clone(&stop);
+            let rows = Arc::clone(&rows);
             clients.push(thread::spawn(move || {
+                let all_rowids: Vec<RowId> = (0..n as RowId).collect();
                 while !stop.load(Ordering::Relaxed) {
-                    // A full-range count sees every row exactly once,
-                    // whichever routing generation served it.
-                    let (c, _) = idx.count(i64::MIN, i64::MAX);
-                    assert_eq!(c, n as u64, "racing query dropped or doubled rows");
+                    // A full-range read of every shape sees every row
+                    // exactly once, whichever routing generation served
+                    // it: a read routed by a stale generation straddles
+                    // the split and is answered in two merged halves.
+                    let (c, _) = idx.read::<Count>(i64::MIN, i64::MAX);
+                    assert_eq!(c, n as u64, "racing count dropped or doubled rows");
+                    let (set, _) = idx.read::<RowIdSet>(i64::MIN, i64::MAX);
+                    assert_eq!(
+                        set.to_vec(),
+                        all_rowids,
+                        "racing rowid-set read dropped or doubled rows"
+                    );
+                    let (runs, _) = idx.read::<KeyRuns>(i64::MIN, i64::MAX);
+                    assert!(
+                        runs.into_sorted_pairs() == *rows,
+                        "racing key-run read dropped or doubled rows"
+                    );
                 }
             }));
         }
         for round in 0..40 {
             for i in 0..200i64 {
                 let low = (round * 37 + i) % 1000;
-                idx.count(low, low + 50);
+                idx.read::<Count>(low, low + 50);
             }
             idx.try_rebalance();
             if idx.splits_performed() >= 3 {
@@ -2796,8 +2504,11 @@ mod tests {
             "the race test must exercise at least one split"
         );
         for (low, high) in [(0, n as i64), (0, 1050), (500, 600)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&values, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&values, low, high));
         }
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), n);
         assert!(idx.check_invariants());
@@ -2809,7 +2520,7 @@ mod tests {
         let idx = RangePartitionedCracker::adaptive(values.clone(), 2, quiet(1.5, 64, 16));
         for i in 0..300i64 {
             let low = i % 1000;
-            idx.count(low, low + 50);
+            idx.read::<Count>(low, low + 50);
         }
         let snap = idx.snapshot();
         assert_eq!(
@@ -2818,7 +2529,7 @@ mod tests {
             "a live snapshot pins row positions"
         );
         assert_eq!(idx.partition_count(), 2);
-        assert_eq!(snap.count(0, 8000).0, 8000);
+        assert_eq!(snap.read::<Count>(0, 8000).0, 8000);
         drop(snap);
         // The aborted pass must not have consumed the load window: the
         // retry still sees the skew and splits.
@@ -2828,7 +2539,7 @@ mod tests {
             "closing the snapshot unblocks the split: {outcome:?}"
         );
         assert_eq!(idx.partition_count(), 3);
-        assert_eq!(idx.count(0, 8000).0, 8000);
+        assert_eq!(idx.read::<Count>(0, 8000).0, 8000);
         assert!(idx.check_invariants());
     }
 
@@ -2857,8 +2568,11 @@ mod tests {
             "idle owners must pre-crack large pieces"
         );
         for (low, high) in [(0, 16_000), (100, 300), (8000, 9000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
+            assert_eq!(
+                idx.read::<Count>(low, high).0,
+                ops::count(&values, low, high)
+            );
+            assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&values, low, high));
         }
         assert!(idx.check_invariants(), "stolen refinement kept invariants");
     }
@@ -2878,7 +2592,7 @@ mod tests {
         for _ in 0..200 {
             for i in 0..100i64 {
                 let low = i % 1000;
-                idx.count(low, low + 50);
+                idx.read::<Count>(low, low + 50);
             }
             if idx.splits_performed() > 0 {
                 break;
@@ -2889,7 +2603,7 @@ mod tests {
             idx.splits_performed() > 0,
             "the monitor thread must split the hot partition on its own"
         );
-        assert_eq!(idx.count(0, 8000).0, 8000);
+        assert_eq!(idx.read::<Count>(0, 8000).0, 8000);
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
         assert!(idx.check_invariants());
     }

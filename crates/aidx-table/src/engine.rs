@@ -44,7 +44,7 @@ use aidx_core::{
     SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
-use aidx_parallel::{ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::{Catalog, RowId, StorageResult, Table};
 use std::collections::{HashMap, HashSet};
 use std::str::FromStr;
@@ -77,8 +77,9 @@ pub enum TableBackend {
     /// One serial [`aidx_core::ConcurrentCracker`] per column under the
     /// given latch protocol (concurrent clients, one shared index).
     Serial(LatchProtocol),
-    /// One [`ChunkedCracker`] per column (per-core chunks, concurrent
-    /// chunk backends only — stochastic chunks keep no row identity).
+    /// One [`ChunkedCracker`] per column: per-core chunks, each a
+    /// concurrent cracker under `protocol`, read through the same
+    /// shape-generic fan-out as every other backend.
     Chunked {
         /// Chunks per column (0 = one per available core).
         chunks: usize,
@@ -257,7 +258,8 @@ impl TableEngine {
                         values.clone(),
                         rowids,
                         effective_workers(chunks),
-                        ChunkBackend::Concurrent(protocol, RefinementPolicy::Always),
+                        protocol,
+                        RefinementPolicy::Always,
                     );
                     index.set_compaction(compaction);
                     Box::new(index)
@@ -393,9 +395,9 @@ impl TableEngine {
         let Some(candidates) = self.candidates_for(predicates, &mut metrics) else {
             // No predicates: every live tuple qualifies. The full-domain
             // range is exact because keys are `< i64::MAX` by the
-            // engine's key-domain contract. Flat read: a full scan's
-            // result is the answer itself, not a candidate set worth
-            // compressing.
+            // engine's key-domain contract. The set is decoded at once:
+            // a full scan's result is the answer itself, not a candidate
+            // set to intersect.
             let (rowids, m) = self.indexes[0].select_rowids(i64::MIN, i64::MAX);
             metrics.accumulate(&m);
             return TableOpResult {

@@ -19,12 +19,14 @@
 //!
 //! Pieces:
 //!
-//! * [`RowIndex`] — the rowid-carrying single-column index surface
-//!   (`select_rowids` / `insert_row` / `delete_row`), implemented by the
+//! * [`RowIndex`] — the object-safe, rowid-carrying single-column index
+//!   surface (`select_rowid_set` / `select_key_runs` / `insert_row` /
+//!   `delete_row`), one blanket impl over [`aidx_core::ColumnIndex`]: the
 //!   serial [`aidx_core::ConcurrentCracker`], the parallel-chunked
 //!   [`aidx_parallel::ChunkedCracker`], and the range-partitioned
-//!   [`aidx_parallel::RangePartitionedCracker`] — every latch protocol
-//!   and compaction mode of the single-column stack composes per column.
+//!   [`aidx_parallel::RangePartitionedCracker`] all serve it through their
+//!   one shape-generic read — every latch protocol and compaction mode of
+//!   the single-column stack composes per column.
 //! * [`TableOp`] / [`TableOpResult`] — the table-level operation set:
 //!   multi-predicate selects, whole-tuple inserts, key-predicate
 //!   deletes, and key/FK equi-joins against another table engine.

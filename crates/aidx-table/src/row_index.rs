@@ -1,25 +1,28 @@
 //! The rowid-carrying single-column index surface a table engine builds
-//! on: one implementation per concurrency design of the single-column
-//! stack, so "serial vs chunked vs range-partitioned" is a per-table
-//! configuration knob rather than three different engines.
+//! on. Every concurrency design of the single-column stack implements
+//! [`ColumnIndex`] — one shape-generic read plus positional writes — so
+//! "serial vs chunked vs range-partitioned" is a per-table configuration
+//! knob rather than three different engines, and one blanket impl turns
+//! any of them into a [`RowIndex`].
 
-use aidx_core::{ConcurrentCracker, KeyRuns, QueryMetrics, RowIdSet};
+use aidx_core::{ColumnIndex, Count, KeyRuns, QueryMetrics, RowIdSet};
 use aidx_obs::StructureProbe;
-use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::RowId;
 
 /// A single-column adaptive index whose reads yield *row ids* (tuple
 /// identity) and whose writes are positional: the caller owns the row-id
 /// space, so several instances over different columns of one table stay
 /// aligned through any amount of per-column physical reorganisation.
+///
+/// The object-safe face of [`ColumnIndex`]: a table holds its columns as
+/// `Box<dyn RowIndex>`, so the generic read is fixed here to the shapes
+/// the engine uses.
 pub trait RowIndex: Send + Sync {
-    /// Row ids of every live row whose value falls in `[low, high)`,
-    /// sorted ascending, refining the index as a side effect.
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics);
-
-    /// Same read, but as a block-compressed [`RowIdSet`] — the planner's
-    /// working representation for multi-predicate intersection (galloping
-    /// seeks skip whole blocks of the larger side).
+    /// Row ids of every live row whose value falls in `[low, high)`, as a
+    /// block-compressed [`RowIdSet`] — the planner's working
+    /// representation for multi-predicate intersection (galloping seeks
+    /// skip whole blocks of the larger side) — refining the index as a
+    /// side effect.
     fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics);
 
     /// The same read as raw per-piece `(key, rowid)` runs — the join
@@ -31,6 +34,13 @@ pub trait RowIndex: Send + Sync {
     /// estimates selectivity from predicate widths instead, so estimating
     /// never cracks).
     fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics);
+
+    /// The rowid-set read decoded to a sorted vector, for callers that
+    /// walk the rows one by one.
+    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
+        let (set, metrics) = self.select_rowid_set(low, high);
+        (set.to_vec(), metrics)
+    }
 
     /// Inserts one row with an externally assigned row id.
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics;
@@ -46,109 +56,32 @@ pub trait RowIndex: Send + Sync {
     fn structure_probe(&self) -> StructureProbe;
 }
 
-impl RowIndex for ConcurrentCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        ConcurrentCracker::select_rowids(self, low, high)
-    }
-
+impl<I: ColumnIndex> RowIndex for I {
     fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        ConcurrentCracker::select_rowid_set(self, low, high)
+        ColumnIndex::read::<RowIdSet>(self, low, high)
     }
 
     fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        ConcurrentCracker::select_key_runs(self, low, high)
+        ColumnIndex::read::<KeyRuns>(self, low, high)
     }
 
     fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        ConcurrentCracker::count(self, low, high)
+        ColumnIndex::read::<Count>(self, low, high)
     }
 
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        ConcurrentCracker::insert_row(self, value, rowid)
+        ColumnIndex::insert_row(self, value, rowid)
     }
 
     fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        ConcurrentCracker::delete_row(self, value, rowid)
+        ColumnIndex::delete_row(self, value, rowid)
     }
 
     fn check_invariants(&self) -> bool {
-        ConcurrentCracker::check_invariants(self)
+        ColumnIndex::check_invariants(self)
     }
 
     fn structure_probe(&self) -> StructureProbe {
-        ConcurrentCracker::structure_probe(self)
-    }
-}
-
-impl RowIndex for ChunkedCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        // Table columns are always built with concurrent chunk backends
-        // (see `TableEngine`); stochastic chunks keep no row identity.
-        ChunkedCracker::select_rowids(self, low, high)
-            .expect("table columns use concurrent chunk backends")
-    }
-
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        ChunkedCracker::select_rowid_set(self, low, high)
-            .expect("table columns use concurrent chunk backends")
-    }
-
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        ChunkedCracker::select_key_runs(self, low, high)
-            .expect("table columns use concurrent chunk backends")
-    }
-
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        ChunkedCracker::count(self, low, high)
-    }
-
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        ChunkedCracker::insert_row(self, value, rowid)
-    }
-
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        ChunkedCracker::delete_row(self, value, rowid)
-    }
-
-    fn check_invariants(&self) -> bool {
-        ChunkedCracker::check_invariants(self)
-    }
-
-    fn structure_probe(&self) -> StructureProbe {
-        ChunkedCracker::structure_probe(self)
-    }
-}
-
-impl RowIndex for RangePartitionedCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        RangePartitionedCracker::select_rowids(self, low, high)
-    }
-
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        RangePartitionedCracker::select_rowid_set(self, low, high)
-    }
-
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        RangePartitionedCracker::select_key_runs(self, low, high)
-    }
-
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        RangePartitionedCracker::count(self, low, high)
-    }
-
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        RangePartitionedCracker::insert_row(self, value, rowid)
-    }
-
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        RangePartitionedCracker::delete_row(self, value, rowid)
-    }
-
-    fn check_invariants(&self) -> bool {
-        RangePartitionedCracker::check_invariants(self)
-    }
-
-    fn structure_probe(&self) -> StructureProbe {
-        RangePartitionedCracker::structure_probe(self)
+        ColumnIndex::structure_probe(self)
     }
 }

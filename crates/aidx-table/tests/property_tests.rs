@@ -7,8 +7,10 @@
 //! walks and forced rebuilds.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
+use aidx_storage::RowId;
 use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn backends() -> Vec<TableBackend> {
     vec![
@@ -89,13 +91,18 @@ proptest! {
         // Compressed-set column reads (`RowIndex::select_rowid_set`)
         // interleaved with tuple writes under aggressive incremental
         // compaction, on every backend: every set must decode to exactly
-        // the flat `select_rowids` answer taken back-to-back (the table
-        // is quiescent between the two reads), report its own compressed
-        // footprint, and the oracle-checked multi-predicate path — which
-        // now runs on these sets — must never diverge.
+        // the flat rowid list a scan of the `rowid → tuple` oracle yields
+        // (the table is quiescent between write and read), report its own
+        // compressed footprint, and the oracle-checked multi-predicate
+        // path — which runs on these sets — must never diverge.
         for backend in backends() {
             let (col_a, col_b): (Vec<i64>, Vec<i64>) = rows.iter().copied().unzip();
             let columns = vec![col_a.clone(), col_b.clone()];
+            let mut oracle: BTreeMap<RowId, [i64; 2]> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| (i as RowId, [a, b]))
+                .collect();
             let engine = TableEngine::new(
                 "r",
                 vec![("a".into(), col_a), ("b".into(), col_b)],
@@ -107,10 +114,20 @@ proptest! {
                 let (low, high) = if a <= b { (a, b) } else { (b, a) };
                 match kind {
                     0 | 1 => {
-                        let column = checked.inner().column_index((kind % 2) as usize);
+                        let col = (kind % 2) as usize;
+                        let column = checked.inner().column_index(col);
                         let (set, m) = column.select_rowid_set(low, high);
-                        let (flat, _) = column.select_rowids(low, high);
-                        prop_assert_eq!(set.to_vec(), flat, "{} set vs flat", checked.inner().name());
+                        let flat: Vec<RowId> = oracle
+                            .iter()
+                            .filter(|(_, tuple)| (low..high).contains(&tuple[col]))
+                            .map(|(&rowid, _)| rowid)
+                            .collect();
+                        prop_assert_eq!(
+                            set.to_vec(),
+                            flat,
+                            "{} set vs oracle scan",
+                            checked.inner().name()
+                        );
                         prop_assert_eq!(set.len() as u64, m.result_count);
                         prop_assert_eq!(set.heap_bytes() as u64, m.candidate_set_bytes);
                     }
@@ -121,13 +138,13 @@ proptest! {
                         ]));
                     }
                     3 => {
-                        checked.execute(&TableOp::InsertTuple(vec![a, b]));
+                        let inserted = checked.execute(&TableOp::InsertTuple(vec![a, b]));
+                        oracle.insert(inserted.rowids[0], [a, b]);
                     }
                     _ => {
-                        checked.execute(&TableOp::DeleteWhere {
-                            column: (c.unsigned_abs() % 2) as usize,
-                            value: a,
-                        });
+                        let column = (c.unsigned_abs() % 2) as usize;
+                        checked.execute(&TableOp::DeleteWhere { column, value: a });
+                        oracle.retain(|_, tuple| tuple[column] != a);
                     }
                 }
             }

@@ -24,8 +24,8 @@
 
 use crate::query::{Operation, QuerySpec};
 use aidx_core::{
-    Aggregate, CompactionPolicy, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol,
-    QueryMetrics, RefinementPolicy,
+    Aggregate, CompactionPolicy, ConcurrentAdaptiveMerge, ConcurrentCracker, Count, LatchProtocol,
+    QueryMetrics, RefinementPolicy, Sum,
 };
 use aidx_cracking::SortIndex;
 use aidx_latch::lockmgr::LockManager;
@@ -69,9 +69,8 @@ pub trait AdaptiveEngine: Send + Sync {
     /// opens a snapshot at the current column epoch, answers the query
     /// frozen there (ignoring every concurrent write, piece shrink, and
     /// compaction step), and releases it. Engines without snapshot
-    /// machinery (scan, sort, adaptive-merge, stochastic chunks) answer at
-    /// the latest state, which is what a single serialized read observes
-    /// anyway.
+    /// machinery (scan, sort, adaptive-merge) answer at the latest state,
+    /// which is what a single serialized read observes anyway.
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
         self.select(query)
     }
@@ -92,27 +91,34 @@ pub trait AdaptiveEngine: Send + Sync {
     }
 }
 
-/// Dispatches one [`Operation`] onto an index exposing the common
-/// `count / sum / insert / delete` quartet (the concurrent cracker, the
-/// concurrent adaptive merge, and both parallel crackers all share it).
-/// One definition instead of four copy-pasted match blocks: adding an
-/// `Operation` variant or changing [`OpResult`] is a single edit.
+/// Answers one count or sum select through a shape-generic `read`:
+/// `$reader` is a live index or a snapshot, and `$at` the epoch argument
+/// the serial cracker's own `read` takes.
+macro_rules! aggregate {
+    ($reader:expr, $q:expr $(, $at:expr)?) => {
+        match $q.aggregate {
+            Aggregate::Count => {
+                let (c, m) = $reader.read::<Count>($q.low, $q.high $(, $at)?);
+                (c as i128, m)
+            }
+            Aggregate::Sum => $reader.read::<Sum>($q.low, $q.high $(, $at)?),
+        }
+    };
+}
+pub(crate) use aggregate;
+
+/// Dispatches one [`Operation`] onto an index exposing `insert` /
+/// `delete`, answering selects with `$select` (a `(value, metrics)`
+/// expression over the bound query `$q`). One definition instead of four
+/// copy-pasted match blocks: adding an `Operation` variant or changing
+/// [`OpResult`] is a single edit.
 macro_rules! execute_on_index {
-    ($index:expr, $op:expr) => {{
+    ($index:expr, $op:expr, |$q:ident| $select:expr) => {{
         match $op {
-            Operation::Select(q) => match q.aggregate {
-                Aggregate::Count => {
-                    let (c, metrics) = $index.count(q.low, q.high);
-                    OpResult {
-                        value: c as i128,
-                        metrics,
-                    }
-                }
-                Aggregate::Sum => {
-                    let (s, metrics) = $index.sum(q.low, q.high);
-                    OpResult { value: s, metrics }
-                }
-            },
+            Operation::Select($q) => {
+                let (value, metrics) = $select;
+                OpResult { value, metrics }
+            }
             Operation::Insert(v) => OpResult {
                 value: 1,
                 metrics: $index.insert(v),
@@ -402,18 +408,12 @@ impl AdaptiveEngine for CrackEngine {
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.cracker, op)
+        execute_on_index!(self.cracker, op, |q| aggregate!(self.cracker, q, None))
     }
 
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
         let snapshot = self.cracker.snapshot();
-        match query.aggregate {
-            Aggregate::Count => {
-                let (c, m) = snapshot.count(query.low, query.high);
-                (c as i128, m)
-            }
-            Aggregate::Sum => snapshot.sum(query.low, query.high),
-        }
+        aggregate!(snapshot, query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -462,7 +462,13 @@ impl AdaptiveEngine for MergeEngine {
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.merge, op)
+        execute_on_index!(self.merge, op, |q| match q.aggregate {
+            Aggregate::Count => {
+                let (c, m) = self.merge.count(q.low, q.high);
+                (c as i128, m)
+            }
+            Aggregate::Sum => self.merge.sum(q.low, q.high),
+        })
     }
 }
 

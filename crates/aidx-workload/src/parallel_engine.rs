@@ -9,11 +9,14 @@
 //! the designated chunk (rebalancing when it outgrows its peers), range
 //! inserts go to the single partition owning the key.
 
-use crate::engine::{execute_on_index, AdaptiveEngine, OpResult};
+use crate::engine::{aggregate, execute_on_index, AdaptiveEngine, OpResult};
 use crate::query::{Operation, QuerySpec};
-use aidx_core::{Aggregate, CompactionPolicy, LatchProtocol, QueryMetrics, RefinementPolicy};
+use aidx_core::{
+    Aggregate, ColumnIndex, CompactionPolicy, Count, LatchProtocol, QueryMetrics, RefinementPolicy,
+    Sum,
+};
 use aidx_obs::StructureStats;
-use aidx_parallel::{AdaptiveConfig, ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
 
 /// Parallel-chunked cracking as an experiment arm.
 #[derive(Debug)]
@@ -26,11 +29,7 @@ impl ParallelChunkEngine {
     /// Builds the engine with `chunks` chunks cracked under the paper's
     /// concurrency control (`protocol`, [`RefinementPolicy::Always`]).
     pub fn new(values: Vec<i64>, chunks: usize, protocol: LatchProtocol) -> Self {
-        Self::with_backend(
-            values,
-            chunks,
-            ChunkBackend::Concurrent(protocol, RefinementPolicy::Always),
-        )
+        Self::with_policy(values, chunks, protocol, RefinementPolicy::Always)
     }
 
     /// Sets the per-chunk delta compaction policy (builder style; must be
@@ -40,20 +39,19 @@ impl ParallelChunkEngine {
         self
     }
 
-    /// Builds the engine with an explicit per-chunk backend.
-    pub fn with_backend(values: Vec<i64>, chunks: usize, backend: ChunkBackend) -> Self {
-        let index = ChunkedCracker::new(values, chunks, backend);
-        let name = match backend {
-            ChunkBackend::Concurrent(protocol, RefinementPolicy::Always) => {
-                format!("parallel-chunk-{protocol}-{}", index.chunk_count())
-            }
-            ChunkBackend::Concurrent(protocol, RefinementPolicy::SkipOnContention) => {
-                format!("parallel-chunk-{protocol}-skip-{}", index.chunk_count())
-            }
-            ChunkBackend::Stochastic { .. } => {
-                format!("parallel-chunk-stochastic-{}", index.chunk_count())
-            }
+    /// Builds the engine with an explicit per-chunk refinement policy.
+    pub fn with_policy(
+        values: Vec<i64>,
+        chunks: usize,
+        protocol: LatchProtocol,
+        policy: RefinementPolicy,
+    ) -> Self {
+        let index = ChunkedCracker::new(values, chunks, protocol, policy);
+        let skip = match policy {
+            RefinementPolicy::Always => "",
+            RefinementPolicy::SkipOnContention => "skip-",
         };
+        let name = format!("parallel-chunk-{protocol}-{skip}{}", index.chunk_count());
         ParallelChunkEngine { index, name }
     }
 
@@ -69,22 +67,12 @@ impl AdaptiveEngine for ParallelChunkEngine {
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.index, op)
+        execute_on_index!(self.index, op, |q| aggregate!(self.index, q))
     }
 
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        // Stochastic chunks keep no epoch history; they answer latest,
-        // exactly as the trait default prescribes.
-        match self.index.snapshot() {
-            Some(snapshot) => match query.aggregate {
-                Aggregate::Count => {
-                    let (c, m) = snapshot.count(query.low, query.high);
-                    (c as i128, m)
-                }
-                Aggregate::Sum => snapshot.sum(query.low, query.high),
-            },
-            None => self.select(query),
-        }
+        let snapshot = self.index.snapshot();
+        aggregate!(snapshot, query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -160,18 +148,12 @@ impl AdaptiveEngine for ParallelRangeEngine {
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.index, op)
+        execute_on_index!(self.index, op, |q| aggregate!(self.index, q))
     }
 
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
         let snapshot = self.index.snapshot();
-        match query.aggregate {
-            Aggregate::Count => {
-                let (c, m) = snapshot.count(query.low, query.high);
-                (c as i128, m)
-            }
-            Aggregate::Sum => snapshot.sum(query.low, query.high),
-        }
+        aggregate!(snapshot, query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -200,25 +182,14 @@ mod tests {
             "parallel-chunk-piece-4"
         );
         assert_eq!(
-            ParallelChunkEngine::with_backend(
+            ParallelChunkEngine::with_policy(
                 values.clone(),
                 2,
-                ChunkBackend::Concurrent(LatchProtocol::Column, RefinementPolicy::SkipOnContention),
+                LatchProtocol::Column,
+                RefinementPolicy::SkipOnContention,
             )
             .name(),
             "parallel-chunk-column-skip-2"
-        );
-        assert_eq!(
-            ParallelChunkEngine::with_backend(
-                values.clone(),
-                2,
-                ChunkBackend::Stochastic {
-                    piece_threshold: 64,
-                    seed: 1
-                },
-            )
-            .name(),
-            "parallel-chunk-stochastic-2"
         );
         assert_eq!(
             ParallelRangeEngine::new(values, 4).name(),

@@ -1,7 +1,7 @@
 //! Multi-core parallel adaptive indexing in action: the same workload
-//! answered by the serial concurrent cracker, parallel-chunked cracking
-//! (with both the concurrent and the stochastic chunk backend), and
-//! range-partitioned latch-free cracking — all verified against a scan.
+//! answered by the serial concurrent cracker, parallel-chunked cracking,
+//! and range-partitioned latch-free cracking — all through the same
+//! shape-generic `read::<Sum>`, all verified against a scan.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
 
@@ -37,41 +37,26 @@ fn main() {
     };
 
     let serial = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
-    report("crack-piece (serial)", &|lo, hi| serial.sum(lo, hi).0);
+    report("crack-piece (serial)", &|lo, hi| {
+        serial.read::<Sum>(lo, hi, None).0
+    });
 
     let chunked = ChunkedCracker::new(
         values.clone(),
         workers,
-        ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+        LatchProtocol::Piece,
+        RefinementPolicy::Always,
     );
-    report("parallel-chunk (concurrent)", &|lo, hi| {
-        chunked.sum(lo, hi).0
-    });
-
-    let stochastic = ChunkedCracker::new(
-        values.clone(),
-        workers,
-        ChunkBackend::Stochastic {
-            piece_threshold: 4096,
-            seed: 11,
-        },
-    );
-    report("parallel-chunk (stochastic)", &|lo, hi| {
-        stochastic.sum(lo, hi).0
-    });
+    report("parallel-chunk", &|lo, hi| chunked.read::<Sum>(lo, hi).0);
 
     let ranged = RangePartitionedCracker::new(values, workers);
     report("parallel-range (latch-free)", &|lo, hi| {
-        ranged.sum(lo, hi).0
+        ranged.read::<Sum>(lo, hi).0
     });
 
     println!(
         "\nrange partition sizes: {:?} (router only wakes owners a query overlaps)",
         ranged.partition_sizes()
     );
-    println!(
-        "chunked crack totals: concurrent={} stochastic={} (stochastic adds random splits)",
-        chunked.crack_count(),
-        stochastic.crack_count()
-    );
+    println!("chunked crack total: {}", chunked.crack_count());
 }

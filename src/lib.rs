@@ -22,8 +22,8 @@
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | database cracking: cracker array, AVL table of contents, baselines, stochastic cracking |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
-//! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, metrics |
-//! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers |
+//! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, metrics; one shape-generic read (`Count`, `Sum`, `RowIdSet`, `KeyRuns`) |
+//! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers, each one fan-out of the same read |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!
@@ -38,25 +38,29 @@
 //! // A cracker index shared by concurrent queries, latched per piece.
 //! let index = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
 //!
-//! // Q2: sum over a range; the index refines itself as a side effect.
-//! // The keys are exactly 0..1_000_000, so the answer has a closed form.
-//! let (sum, metrics) = index.sum(250_000, 260_000);
+//! // Q2: sum over a range through the one shape-generic read (live: no
+//! // snapshot epoch); the index refines itself as a side effect. The keys
+//! // are exactly 0..1_000_000, so the answer has a closed form.
+//! let (sum, metrics) = index.read::<Sum>(250_000, 260_000, None);
 //! assert_eq!(sum, (250_000..260_000i128).sum());
 //! assert!(metrics.cracks_performed > 0, "first query refines the index");
 //!
 //! // The same range again: the bounds are already cracks, so no policy
 //! // performs further refinement.
-//! let (same, metrics) = index.sum(250_000, 260_000);
+//! let (same, metrics) = index.read::<Sum>(250_000, 260_000, None);
 //! assert_eq!(same, sum);
 //! assert_eq!(metrics.cracks_performed, 0);
 //!
-//! // Crack in parallel across 4 chunks instead: identical answers.
+//! // Crack in parallel across 4 chunks instead: identical answers, in
+//! // every shape — here the row ids as a compressed set.
 //! let index = ChunkedCracker::new(
 //!     generate_unique_shuffled(1_000_000, 42),
 //!     4,
-//!     ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+//!     LatchProtocol::Piece,
+//!     RefinementPolicy::Always,
 //! );
-//! assert_eq!(index.sum(250_000, 260_000).0, sum);
+//! assert_eq!(index.read::<Sum>(250_000, 260_000).0, sum);
+//! assert_eq!(index.read::<RowIdSet>(250_000, 260_000).0.len(), 10_000);
 //! ```
 
 pub use aidx_btree as btree;
@@ -72,14 +76,12 @@ pub use aidx_workload as workload;
 pub mod prelude {
     pub use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
     pub use aidx_core::{
-        Aggregate, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol, QueryMetrics,
-        RefinementPolicy, RunMetrics,
+        Aggregate, ColumnIndex, ConcurrentAdaptiveMerge, ConcurrentCracker, Count, KeyRuns,
+        LatchProtocol, QueryMetrics, ReadShape, RefinementPolicy, RowIdSet, RunMetrics, Sum,
     };
     pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex, StochasticCracker};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
-    pub use aidx_parallel::{
-        available_cores, ChunkBackend, ChunkedCracker, RangePartitionedCracker, WorkerPool,
-    };
+    pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
     pub use aidx_table::{
         CheckedTableEngine, ColumnPredicate, RowIndex, TableBackend, TableEngine, TableOp,
@@ -109,11 +111,12 @@ mod tests {
         let chunked = ChunkedCracker::new(
             values.clone(),
             2,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
-        assert_eq!(chunked.count(1000, 2000).0, 1000);
+        assert_eq!(chunked.read::<Count>(1000, 2000).0, 1000);
         let ranged = RangePartitionedCracker::new(values, 2);
-        assert_eq!(ranged.count(1000, 2000).0, 1000);
+        assert_eq!(ranged.read::<Count>(1000, 2000).0, 1000);
         assert!(available_cores() >= 1);
     }
 }

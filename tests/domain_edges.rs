@@ -13,8 +13,7 @@
 
 use adaptive_indexing::prelude::*;
 use aidx_core::LatchProtocol;
-use aidx_parallel::ChunkBackend;
-use aidx_workload::{CheckedEngine, ParallelChunkEngine};
+use aidx_workload::CheckedEngine;
 use std::sync::Arc;
 
 const ROWS: usize = 500;
@@ -84,23 +83,6 @@ fn every_arm_survives_the_domain_edges_with_compaction() {
             &format!("{} (compaction)", approach.label()),
         );
     }
-}
-
-#[test]
-fn stochastic_chunks_survive_the_domain_edges() {
-    // The stochastic chunk backend is not an `Approach` arm but shares the
-    // delete-bound arithmetic; give it the same treatment.
-    run_edges(
-        Arc::new(ParallelChunkEngine::with_backend(
-            edge_values(),
-            3,
-            ChunkBackend::Stochastic {
-                piece_threshold: 64,
-                seed: 5,
-            },
-        )),
-        "parallel-chunk-stochastic-3",
-    );
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! range-partitioned cracker.
 
 use adaptive_indexing::core::{
-    CompactionPolicy, ConcurrentCracker, LatchProtocol, RefinementPolicy,
+    ColumnIndex, CompactionPolicy, ConcurrentCracker, Count, LatchProtocol, RefinementPolicy, Sum,
 };
-use adaptive_indexing::parallel::{ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use adaptive_indexing::parallel::{ChunkedCracker, RangePartitionedCracker};
 use std::collections::BTreeMap;
 
 fn shuffled(n: usize) -> Vec<i64> {
@@ -62,7 +62,7 @@ fn serial_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         let values = shuffled(4096);
         let idx = ConcurrentCracker::from_values(values.clone(), protocol)
             .with_compaction(CompactionPolicy::rows(1_000_000).incremental(4));
-        idx.sum(0, 4096);
+        idx.read::<Sum>(0, 4096, None);
         // Pre-snapshot churn so the pinned epoch is non-trivial.
         idx.delete(42);
         idx.insert(42);
@@ -78,12 +78,12 @@ fn serial_snapshot_scan_across_incremental_steps_matches_the_oracle() {
             }
             for (low, high) in QUERIES {
                 assert_eq!(
-                    snap.count(low, high).0,
+                    snap.read::<Count>(low, high).0,
                     oracle_count(&frozen, low, high),
                     "{protocol} pinned count [{low},{high}) after {steps} steps"
                 );
                 assert_eq!(
-                    snap.sum(low, high).0,
+                    snap.read::<Sum>(low, high).0,
                     oracle_sum(&frozen, low, high),
                     "{protocol} pinned sum [{low},{high}) after {steps} steps"
                 );
@@ -105,12 +105,13 @@ fn chunked_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     let idx = ChunkedCracker::new(
         values.clone(),
         3,
-        ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+        LatchProtocol::Piece,
+        RefinementPolicy::Always,
     )
     .with_compaction(CompactionPolicy::rows(4).incremental(4));
-    idx.sum(0, 4096);
+    idx.read::<Sum>(0, 4096);
     let frozen = oracle_from(&values);
-    let snap = idx.snapshot().expect("concurrent chunks support snapshots");
+    let snap = idx.snapshot();
     // Threshold 4 with 16 churn pairs: the per-chunk incremental policy
     // fires several walk steps while the snapshot stays pinned.
     for key in CHURN_KEYS {
@@ -120,19 +121,19 @@ fn chunked_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         idx.insert(key + 1);
         for (low, high) in QUERIES {
             assert_eq!(
-                snap.count(low, high).0,
+                snap.read::<Count>(low, high).0,
                 oracle_count(&frozen, low, high),
                 "chunked pinned count [{low},{high})"
             );
             assert_eq!(
-                snap.sum(low, high).0,
+                snap.read::<Sum>(low, high).0,
                 oracle_sum(&frozen, low, high),
                 "chunked pinned sum [{low},{high})"
             );
         }
     }
     drop(snap);
-    assert_eq!(idx.count(0, 4096).0, 4096, "live view converged");
+    assert_eq!(idx.read::<Count>(0, 4096).0, 4096, "live view converged");
     assert!(idx.check_invariants());
 }
 
@@ -144,7 +145,7 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         3,
         CompactionPolicy::rows(4).incremental(4),
     );
-    idx.sum(0, 4096);
+    idx.read::<Sum>(0, 4096);
     let frozen = oracle_from(&values);
     let snap = idx.snapshot();
     for key in CHURN_KEYS {
@@ -154,12 +155,12 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         idx.insert(key + 1);
         for (low, high) in QUERIES {
             assert_eq!(
-                snap.count(low, high).0,
+                snap.read::<Count>(low, high).0,
                 oracle_count(&frozen, low, high),
                 "range pinned count [{low},{high})"
             );
             assert_eq!(
-                snap.sum(low, high).0,
+                snap.read::<Sum>(low, high).0,
                 oracle_sum(&frozen, low, high),
                 "range pinned sum [{low},{high})"
             );
@@ -171,6 +172,6 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         "the snapshot spanned >= 3 incremental steps, saw {merges}"
     );
     drop(snap);
-    assert_eq!(idx.count(0, 4096).0, 4096, "live view converged");
+    assert_eq!(idx.read::<Count>(0, 4096).0, 4096, "live view converged");
     assert!(idx.check_invariants());
 }
