@@ -24,7 +24,8 @@
 //! bounded-retry reclaim-pause drain, and the PR 3 chunked designated-chunk
 //! handoff. The split-handoff model at the bottom covers the skew-adaptive
 //! router's epoch-fenced re-partitioning: a query racing a split must see
-//! exactly the old or the new routing, never a dropped key range.
+//! exactly the old or the new routing, never a dropped key range, and a
+//! write routed by the old routing must land in the split child.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -662,6 +663,10 @@ struct SplitModel {
 
 const BOUNDARY: u64 = 2;
 
+/// The key a racing writer inserts: above `BOUNDARY`, so it belongs to the
+/// split child.
+const WRITTEN: u64 = 5;
+
 impl SplitModel {
     fn new() -> Self {
         SplitModel {
@@ -689,6 +694,26 @@ impl SplitModel {
         if correct {
             self.generation.store(1, Ordering::SeqCst);
         }
+    }
+
+    /// Inserts `key >= BOUNDARY` as a write routed by the old generation:
+    /// it reaches owner 0 before or after the split. Once the redirect is
+    /// installed, `forward` passes it on by key to the child; the buggy
+    /// variant applies it at owner 0 regardless.
+    fn write_old_routed(&self, key: u64, forward: bool) {
+        let mut owner = self.p0.lock();
+        if forward && owner.1 && key >= BOUNDARY {
+            self.p1.lock().push(key);
+        } else {
+            owner.0.push(key);
+        }
+    }
+
+    /// How many copies of `key` owners 0 and 1 hold.
+    fn copies(&self, key: u64) -> (usize, usize) {
+        let parent = self.p0.lock().0.iter().filter(|&&v| v == key).count();
+        let child = self.p1.lock().iter().filter(|&&v| v == key).count();
+        (parent, child)
     }
 
     /// A full-range count routed by whichever table generation the query
@@ -758,6 +783,60 @@ fn split_published_before_handoff_is_caught() {
     assert!(
         failure.message.contains("dropped a key range"),
         "failure should come from the dropped-range assert, got: {}",
+        failure.message
+    );
+}
+
+/// A write routed by the old generation races the split: whichever runs
+/// first, the row ends up exactly once, in the child that owns its key —
+/// moved by the split, or forwarded by key through the redirect.
+#[test]
+fn split_forwards_old_routed_write_by_key() {
+    let report = explore_default(move || {
+        let model = Arc::new(SplitModel::new());
+        let splitter = Arc::clone(&model);
+        let writer = Arc::clone(&model);
+        Scenario::new()
+            .thread(move || splitter.split(true))
+            .thread(move || writer.write_old_routed(WRITTEN, true))
+            .finale(move || {
+                assert_eq!(
+                    model.copies(WRITTEN),
+                    (0, 1),
+                    "old-routed write must live once, in the split child"
+                );
+                assert_eq!(model.count_all(), 5, "rows lost by the split");
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "write model should be fully enumerable");
+}
+
+/// Teeth: an owner that applies an old-routed write locally despite its
+/// redirect strands the row in the parent, outside the parent's key range
+/// — the misplaced write key forwarding exists to prevent. The explorer
+/// must find it.
+#[test]
+fn write_applied_past_the_redirect_is_caught() {
+    let report = explore_default(move || {
+        let model = Arc::new(SplitModel::new());
+        let splitter = Arc::clone(&model);
+        let writer = Arc::clone(&model);
+        Scenario::new()
+            .thread(move || splitter.split(true))
+            .thread(move || writer.write_old_routed(WRITTEN, false))
+            .finale(move || {
+                assert_eq!(
+                    model.copies(WRITTEN),
+                    (0, 1),
+                    "old-routed write must live once, in the split child"
+                );
+            })
+    });
+    let failure = report.expect_failure("finale-panic");
+    assert!(
+        failure.message.contains("once, in the split child"),
+        "failure should come from the placement assert, got: {}",
         failure.message
     );
 }

@@ -21,9 +21,14 @@
 //!   one-time parallel range partition gives each worker a disjoint key
 //!   range which it cracks **latch-free**, exclusive ownership replacing
 //!   latches altogether; a router sends each query only to the owners its
-//!   range overlaps. Best once the workload is known to spread across the
-//!   domain: narrow queries touch a single partition and different
-//!   queries proceed on different cores with zero coordination. The
+//!   range overlaps. Every read, write, probe and split/merge step is one
+//!   job sent to an owner, routed across a repartition redirect by range
+//!   (reads), by key (writes), to the owner addressed (probes, snapshot
+//!   epochs) or past it (repartition steps), and every round trip goes
+//!   through one send-and-reply helper. Best once the workload is known
+//!   to spread across the domain: narrow queries touch a single partition
+//!   and different queries proceed on different cores with zero
+//!   coordination. The
 //!   **skew-adaptive** mode ([`RangePartitionedCracker::adaptive`],
 //!   tuned by [`AdaptiveConfig`]) additionally re-partitions online —
 //!   hot partitions split at crack boundaries, cold neighbours merge —

@@ -3,11 +3,17 @@
 //! A parallel range partition splits the column into disjoint key ranges;
 //! each range is owned by a dedicated worker thread that cracks a private
 //! index — partition boundaries are cracks chosen up front, the logical
-//! end point of "pieces as an adaptive latching granularity". A router
-//! maps a read's `[low, high)` range to the partitions it overlaps,
-//! sends each owner one typed read request over its channel — the same
-//! request for every [`ReadShape`] — and merges the partial answers by
-//! shape; partitions outside the read's range are never touched.
+//! end point of "pieces as an adaptive latching granularity". Exclusive
+//! ownership replaces latches, so everything done to a partition is a job
+//! sent to its owner: client reads and writes, snapshot epochs, probes,
+//! and every split/merge step. The one protocol decision is how a job is
+//! routed across a repartition redirect — reads by range, writes by key,
+//! probes to the owner addressed, repartition steps past the redirect —
+//! and every router→owner round trip is the same send-and-reply exchange.
+//! A read maps its `[low, high)` range to the partitions it overlaps,
+//! sends each owner one typed read job — the same for every
+//! [`ReadShape`] — and merges the partial answers by shape; partitions
+//! outside the read's range are never touched.
 //!
 //! Static partitioning is only as good as its initial sample: a workload
 //! that concentrates on one key range serialises on one owner while the
@@ -42,10 +48,10 @@
 //! snapshot gate (a repartition aborts while any snapshot is live, so
 //! pinned epoch reads never see rows move between partitions).
 //!
-//! Owners drain their request channel in **batches**: one blocking
-//! receive wakes the owner, which then processes every request already
-//! queued before blocking again. Under heavy client counts this coalesces
-//! many in-flight operations per channel round-trip;
+//! Owners drain their job queue in **batches**: one blocking receive
+//! wakes the owner, which then runs every job already queued before
+//! blocking again. Under heavy client counts this coalesces many
+//! in-flight operations per channel round-trip;
 //! [`RangePartitionedCracker::routing_stats`] exposes the ops/batches
 //! ratio so the coalescing is observable.
 
@@ -64,107 +70,123 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A request routed to one partition owner.
+/// Work an owner runs on its own partition state.
+type Job = Box<dyn FnOnce(&mut OwnerCtx) + Send>;
+
+/// A job for one partition owner, tagged with how it routes across a
+/// repartition redirect (see [`OwnerCtx::handle`]).
 enum OwnerRequest {
-    /// Read `[low, high)` within the partition in the job's shape,
-    /// cracking as a side effect — at the partition-local snapshot epoch
-    /// if the job carries one — and reply with `(answer, metrics)`.
+    /// A client read: routed by range, and answered in two halves when it
+    /// straddles a split.
     Read(Box<dyn ReadJob>),
-    /// Insert one row `(value, rowid)` into the partition's index (the
-    /// partition *owns* the key range, so no other partition is involved).
-    Insert {
-        value: i64,
-        rowid: RowId,
-        reply: Sender<QueryMetrics>,
-    },
-    /// Delete every row whose key equals `value` and reply with how many
-    /// rows were removed.
-    Delete {
-        value: i64,
-        reply: Sender<(u64, QueryMetrics)>,
-    },
-    /// Delete one specific row `(value, rowid)` and reply with how many
-    /// rows were removed (0 or 1).
-    DeleteRow {
-        value: i64,
-        rowid: RowId,
-        reply: Sender<(u64, QueryMetrics)>,
-    },
-    /// Register a snapshot at the partition's current epoch and reply
-    /// with it.
-    SnapshotOpen { reply: Sender<u64> },
-    /// Release a snapshot registration (fire-and-forget).
-    SnapshotClose { epoch: u64 },
-    /// Run `check_invariants` on the partition index and reply.
-    Check { reply: Sender<bool> },
-    /// Reply with `(delta rows, compactions + incremental steps)`.
-    DeltaStats { reply: Sender<(u64, u64)> },
-    /// Reply with the partition index's raw structure probe.
-    Structure { reply: Sender<StructureProbe> },
-    /// Reply with the crack boundary nearest the partition's middle — the
-    /// repartition controller's split-point discovery. `None` if the
-    /// partition has no interior crack to split at.
-    SplitKey { reply: Sender<Option<i64>> },
-    /// Split the partition at `at`: move every row `>= at` (with its
-    /// cracks) into a fresh child index, install a split redirect toward
-    /// `child` for requests still routed by the old table, and reply with
-    /// the child index for the controller to spawn an owner around.
-    SplitExtract {
-        at: i64,
-        child: Sender<OwnerRequest>,
-        reply: Sender<ConcurrentCracker>,
-    },
-    /// Merge away: extract the whole partition, hand it to `into` as an
-    /// [`OwnerRequest::Absorb`] (waiting for the ack), install a
-    /// forward-all redirect, and reply with how many rows moved.
-    MergeExtract {
-        into: Sender<OwnerRequest>,
-        boundary: i64,
-        reply: Sender<u64>,
-    },
-    /// Absorb a merged-away upper neighbour's rows; ack'd once installed.
-    Absorb {
-        values: Vec<i64>,
-        rowids: Vec<RowId>,
-        cracks: Vec<(i64, usize)>,
-        boundary: i64,
-        ack: Sender<()>,
-    },
-    /// Clear the redirect installed by a split, once the controller has
-    /// drained every request routed through the old table.
-    RetireRedirect { reply: Sender<()> },
+    /// A client write of rows keyed `key`: forwarded whole when a
+    /// redirect covers `key`.
+    Write { key: i64, job: Job },
+    /// Answered by the owner it was sent to: snapshot epochs and probes.
+    Local(Job),
+    /// A repartition step: system-transaction traffic that bypasses the
+    /// redirect and the load counters.
+    Control(Job),
 }
 
-/// Where a partition forwards requests while a repartition system
-/// transaction is mid-flight (installed by the owner itself, so it is
-/// ordered with the extraction in the request stream).
-enum Redirect {
-    /// This partition split at `at`: requests entirely `>= at` are
-    /// whole-forwarded, straddling reads are answered in two halves and
-    /// combined so the router still sees exactly one reply.
-    Split { at: i64, to: Sender<OwnerRequest> },
-    /// This partition merged away: everything goes to the absorber.
-    All { to: Sender<OwnerRequest> },
+/// Where an owner forwards client requests routed by an older routing
+/// generation while a repartition is mid-flight. The owner installs it
+/// itself, so it is ordered with the extraction in its request stream:
+/// requests routed from `at` up go to `to`, and a read straddling `at` is
+/// answered in two halves. A merged-away owner forwards everything
+/// (`at == i64::MIN`).
+struct Redirect {
+    at: i64,
+    to: Sender<OwnerRequest>,
 }
 
-/// One read routed to a partition owner, whatever its shape: the single
-/// read request. The job answers itself on the owner's index; when a split
-/// redirect cuts its range, it answers the owned half locally, forwards
-/// the rest to the split child, and merges the two — the router still
-/// receives exactly one reply per request it sent.
+/// The answers owed by the owners one request went to: the single round
+/// trip to an owner, from the router or from another owner. Requests are
+/// sent while the caller's routing pin is held and answers awaited after
+/// it is released — once enqueued, a request survives any table swap. A
+/// dead owner surfaces here and nowhere else: as a failed send, or as a
+/// reply dropped unanswered.
+struct Replies<T> {
+    tx: Sender<T>,
+    rx: Receiver<T>,
+    owed: usize,
+}
+
+impl<T> Replies<T> {
+    fn new() -> Self {
+        let (tx, rx) = channel();
+        Replies { tx, rx, owed: 0 }
+    }
+
+    /// Sends `owner` the request `request` builds around this exchange's
+    /// reply channel.
+    fn send(
+        &mut self,
+        owner: &Sender<OwnerRequest>,
+        request: impl FnOnce(Sender<T>) -> OwnerRequest,
+    ) {
+        owner
+            .send(request(self.tx.clone()))
+            .expect("partition owner exited early");
+        self.owed += 1;
+    }
+
+    /// Stops sending. Only owners hold reply senders from here on, so a
+    /// dead owner's dropped reply ends a wait instead of hanging it.
+    fn close(self) -> (Receiver<T>, usize) {
+        (self.rx, self.owed)
+    }
+
+    /// Waits for every owed answer, yielding them in arrival order.
+    fn wait(self) -> impl Iterator<Item = T> {
+        let (rx, owed) = self.close();
+        (0..owed).map(move |_| receive(&rx))
+    }
+
+    /// Waits for the one owed answer.
+    fn one(self) -> T {
+        receive(&self.close().0)
+    }
+}
+
+fn receive<T>(rx: &Receiver<T>) -> T {
+    rx.recv().expect("partition owner died")
+}
+
+/// Wraps `f` as a job that replies with its result.
+fn job<T: Send + 'static>(
+    reply: Sender<T>,
+    f: impl FnOnce(&mut OwnerCtx) -> T + Send + 'static,
+) -> Job {
+    Box::new(move |ctx| {
+        // A requester that stopped listening (a short-circuited
+        // invariant check) needs no answer.
+        let _ = reply.send(f(ctx));
+    })
+}
+
+/// One round trip to one owner: sends `f` tagged by `route` and waits for
+/// its answer.
+fn ask<T: Send + 'static>(
+    owner: &Sender<OwnerRequest>,
+    route: fn(Job) -> OwnerRequest,
+    f: impl FnOnce(&mut OwnerCtx) -> T + Send + 'static,
+) -> T {
+    let mut replies = Replies::new();
+    replies.send(owner, |reply| route(job(reply, f)));
+    replies.one()
+}
+
+/// One read routed to a partition owner, whatever its shape — kept a
+/// monomorphised job so the read path pays no closure dispatch.
 trait ReadJob: Send {
     /// Lower bound of the requested range (reads route by range start).
     fn low(&self) -> i64;
 
-    /// Exclusive upper bound of the requested range.
-    fn high(&self) -> i64;
-
-    /// Answers the read on `index` and replies.
-    fn run(self: Box<Self>, index: &ConcurrentCracker);
-
-    /// Answers `[low, at)` on `index`, forwards `[at, high)` to the split
-    /// child `to`, and replies once with the merged answer.
-    fn straddle(self: Box<Self>, index: &ConcurrentCracker, at: i64, to: &Sender<OwnerRequest>);
+    /// Answers the read on `index` and replies. When `redirect` cuts the
+    /// range, the owned half is answered here, the rest by the split
+    /// child, and the router still receives exactly one reply.
+    fn answer(self: Box<Self>, index: &ConcurrentCracker, redirect: Option<&Redirect>);
 }
 
 /// The typed read job behind [`OwnerRequest::Read`].
@@ -176,36 +198,43 @@ struct Read<S: ReadShape> {
     reply: Sender<(S::Output, QueryMetrics)>,
 }
 
+impl<S: ReadShape> Read<S> {
+    fn request(
+        low: i64,
+        high: i64,
+        epoch: Option<u64>,
+        reply: Sender<(S::Output, QueryMetrics)>,
+    ) -> OwnerRequest {
+        OwnerRequest::Read(Box::new(Read::<S> {
+            low,
+            high,
+            epoch,
+            reply,
+        }))
+    }
+}
+
 impl<S: ReadShape> ReadJob for Read<S> {
     fn low(&self) -> i64 {
         self.low
     }
 
-    fn high(&self) -> i64 {
-        self.high
-    }
-
-    fn run(self: Box<Self>, index: &ConcurrentCracker) {
+    fn answer(self: Box<Self>, index: &ConcurrentCracker, redirect: Option<&Redirect>) {
+        let answer = match redirect {
+            Some(Redirect { at, to }) if self.high > *at => {
+                debug_assert!(self.epoch.is_none(), "no snapshots during a repartition");
+                let mut remote = Replies::new();
+                remote.send(to, |reply| {
+                    Read::<S>::request(*at, self.high, self.epoch, reply)
+                });
+                let local = index.read::<S>(self.low, *at, self.epoch);
+                S::merge(vec![local, remote.one()])
+            }
+            _ => index.read::<S>(self.low, self.high, self.epoch),
+        };
         // The router may have given up only if the whole index was
         // dropped mid-query; nothing useful to do then.
-        let _ = self
-            .reply
-            .send(index.read::<S>(self.low, self.high, self.epoch));
-    }
-
-    fn straddle(self: Box<Self>, index: &ConcurrentCracker, at: i64, to: &Sender<OwnerRequest>) {
-        debug_assert!(self.epoch.is_none(), "no snapshots during a repartition");
-        let local = index.read::<S>(self.low, at, self.epoch);
-        let (reply, remote) = channel();
-        let _ = to.send(OwnerRequest::Read(Box::new(Read::<S> {
-            low: at,
-            high: self.high,
-            epoch: self.epoch,
-            reply,
-        })));
-        if let Ok(remote) = remote.recv() {
-            let _ = self.reply.send(S::merge(vec![local, remote]));
-        }
+        let _ = self.reply.send(answer);
     }
 }
 
@@ -506,191 +535,45 @@ impl OwnerCtx {
         self.ops.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Runs a job here or forwards it through the redirect. Only client
+    /// jobs this owner runs count toward its load.
     fn handle(&mut self, request: OwnerRequest) {
-        // Repartition control messages are system-transaction traffic,
-        // not client load: they bypass the redirect and the op counters.
-        let request = match self.control(request) {
-            Some(r) => r,
-            None => return,
-        };
-        let request = match self.forward(request) {
-            Some(r) => r,
-            None => return,
-        };
-        self.note_op();
-        self.handle_local(request);
-    }
-
-    /// Intercepts repartition control messages; returns client requests
-    /// untouched.
-    fn control(&mut self, request: OwnerRequest) -> Option<OwnerRequest> {
         match request {
-            OwnerRequest::SplitKey { reply } => {
-                let _ = reply.send(self.index.median_crack_key());
-                None
-            }
-            OwnerRequest::SplitExtract { at, child, reply } => {
-                let (values, rowids, cracks) = self.index.split_off(at);
-                let child_index = ConcurrentCracker::from_rows_with_cracks(
-                    values,
-                    rowids,
-                    &cracks,
-                    self.index.protocol(),
-                )
-                .with_compaction(self.index.compaction_policy());
-                self.size.store(self.index.len(), Ordering::Relaxed);
-                // Installed before the reply: every later request in this
-                // queue (routed by the old table) hits the redirect.
-                self.redirect = Some(Redirect::Split { at, to: child });
-                let _ = reply.send(child_index);
-                None
-            }
-            OwnerRequest::MergeExtract {
-                into,
-                boundary,
-                reply,
-            } => {
-                let (values, rowids, cracks) = self.index.split_off(i64::MIN);
-                let moved = values.len() as u64;
-                let (ack_tx, ack_rx) = channel();
-                let _ = into.send(OwnerRequest::Absorb {
-                    values,
-                    rowids,
-                    cracks,
-                    boundary,
-                    ack: ack_tx,
-                });
-                // Block until the absorber has installed the rows: a
-                // request forwarded afterwards must find them there. The
-                // absorber never waits on this owner, so this can't
-                // deadlock.
-                let _ = ack_rx.recv();
-                self.size.store(0, Ordering::Relaxed);
-                self.redirect = Some(Redirect::All { to: into });
-                let _ = reply.send(moved);
-                None
-            }
-            OwnerRequest::Absorb {
-                values,
-                rowids,
-                cracks,
-                boundary,
-                ack,
-            } => {
-                let added = values.len();
-                self.index.absorb_upper(values, rowids, &cracks, boundary);
-                self.size.fetch_add(added, Ordering::Relaxed);
-                let _ = ack.send(());
-                None
-            }
-            OwnerRequest::RetireRedirect { reply } => {
-                self.redirect = None;
-                let _ = reply.send(());
-                None
-            }
-            other => Some(other),
-        }
-    }
-
-    /// Applies the redirect, if any: whole-forwards, splits straddling
-    /// reads, and passes locally-owned requests through.
-    fn forward(&mut self, request: OwnerRequest) -> Option<OwnerRequest> {
-        let Some(redirect) = &self.redirect else {
-            return Some(request);
-        };
-        match redirect {
-            Redirect::All { to } => {
-                let _ = to.send(request);
-                None
-            }
-            Redirect::Split { at, to } => {
-                let (at, to) = (*at, to.clone());
-                self.forward_split(at, &to, request)
-            }
-        }
-    }
-
-    fn forward_split(
-        &mut self,
-        at: i64,
-        to: &Sender<OwnerRequest>,
-        request: OwnerRequest,
-    ) -> Option<OwnerRequest> {
-        // Writes route by value, reads by range start: either side owns
-        // the request outright unless a read straddles the split key.
-        let forward_whole = match &request {
-            OwnerRequest::Insert { value, .. }
-            | OwnerRequest::Delete { value, .. }
-            | OwnerRequest::DeleteRow { value, .. } => *value >= at,
-            OwnerRequest::Read(job) => job.low() >= at,
-            _ => false,
-        };
-        if forward_whole {
-            let _ = to.send(request);
-            return None;
-        }
-        match request {
-            OwnerRequest::Read(job) if job.high() > at => {
+            OwnerRequest::Control(job) => job(self),
+            OwnerRequest::Local(job) => {
                 self.note_op();
-                job.straddle(&self.index, at, to);
-                None
+                job(self);
             }
-            other => Some(other),
+            // A forward to an owner that has exited drops the reply
+            // sender, which the router observes as a dead owner.
+            OwnerRequest::Write { key, job } => match self.forward_to(key) {
+                Some(to) => {
+                    let _ = to.send(OwnerRequest::Write { key, job });
+                }
+                None => {
+                    self.note_op();
+                    job(self);
+                }
+            },
+            OwnerRequest::Read(read) => match self.forward_to(read.low()) {
+                Some(to) => {
+                    let _ = to.send(OwnerRequest::Read(read));
+                }
+                None => {
+                    self.note_op();
+                    read.answer(&self.index, self.redirect.as_ref());
+                }
+            },
         }
     }
 
-    fn handle_local(&mut self, request: OwnerRequest) {
-        match request {
-            OwnerRequest::Read(job) => job.run(&self.index),
-            OwnerRequest::Insert {
-                value,
-                rowid,
-                reply,
-            } => {
-                let metrics = self.index.insert_row(value, rowid);
-                self.size.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(metrics);
-            }
-            OwnerRequest::Delete { value, reply } => {
-                let (removed, metrics) = self.index.delete(value);
-                self.size.fetch_sub(removed as usize, Ordering::Relaxed);
-                let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::DeleteRow {
-                value,
-                rowid,
-                reply,
-            } => {
-                let (removed, metrics) = self.index.delete_row(value, rowid);
-                self.size.fetch_sub(removed as usize, Ordering::Relaxed);
-                let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::SnapshotOpen { reply } => {
-                let _ = reply.send(self.index.register_snapshot_epoch());
-            }
-            OwnerRequest::SnapshotClose { epoch } => {
-                self.index.release_snapshot_epoch(epoch);
-            }
-            OwnerRequest::Check { reply } => {
-                let _ = reply.send(self.index.check_invariants());
-            }
-            OwnerRequest::DeltaStats { reply } => {
-                let _ = reply.send((
-                    self.index.delta_rows(),
-                    self.index.compactions_performed() + self.index.compaction_steps_performed(),
-                ));
-            }
-            OwnerRequest::Structure { reply } => {
-                let _ = reply.send(self.index.structure_probe());
-            }
-            OwnerRequest::SplitKey { .. }
-            | OwnerRequest::SplitExtract { .. }
-            | OwnerRequest::MergeExtract { .. }
-            | OwnerRequest::Absorb { .. }
-            | OwnerRequest::RetireRedirect { .. } => {
-                unreachable!("control messages are intercepted before local handling")
-            }
-        }
+    /// The redirect target of a client request routed from `key` up, if
+    /// the redirect covers it whole.
+    fn forward_to(&self, key: i64) -> Option<&Sender<OwnerRequest>> {
+        self.redirect
+            .as_ref()
+            .filter(|redirect| key >= redirect.at)
+            .map(|redirect| &redirect.to)
     }
 
     /// Refinement work stealing: pre-crack the largest piece of the
@@ -840,25 +723,6 @@ impl RangePartitionedCracker {
     /// disable it.
     pub fn new(values: Vec<i64>, partitions: usize) -> Self {
         Self::with_compaction(values, partitions, Self::default_partition_policy())
-    }
-
-    /// As [`RangePartitionedCracker::new`], but every partition compacts
-    /// its pending delta once it reaches `compaction_threshold` rows
-    /// (0 = the default bounded incremental policy, mirroring the
-    /// pre-PR 4 owner index's merge-on-next-crack behaviour). Each owner
-    /// thread compacts only its own partition, so the reclamation work
-    /// spreads across cores with the write stream.
-    pub fn with_compaction_threshold(
-        values: Vec<i64>,
-        partitions: usize,
-        compaction_threshold: usize,
-    ) -> Self {
-        let policy = if compaction_threshold == 0 {
-            Self::default_partition_policy()
-        } else {
-            CompactionPolicy::rows(compaction_threshold as u64)
-        };
-        Self::with_compaction(values, partitions, policy)
     }
 
     /// As [`RangePartitionedCracker::new`] with an explicit per-partition
@@ -1062,9 +926,18 @@ impl RangePartitionedCracker {
     }
 
     /// Entries per partition (diagnostic: balance check; kept current by
-    /// the owners, where writes apply).
+    /// the owners, where writes apply). Waits out an in-flight split or
+    /// merge: until it completes, the ledgers of the current routing
+    /// generation miss or double-count the rows it moves.
     pub fn partition_sizes(&self) -> Vec<usize> {
-        self.shared
+        let shared = &self.shared;
+        let _ctl = dcheck::Tracked::new(
+            dcheck::Level::Repartition,
+            shared.repartition_instance,
+            "repartition",
+            shared.repartition.lock(),
+        );
+        shared
             .current_table()
             .partitions
             .iter()
@@ -1145,26 +1018,9 @@ impl RangePartitionedCracker {
     /// range applies the insert; during a re-partition the redirect
     /// passes it on by value.
     pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        let start = Instant::now();
         self.next_rowid
             .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::Insert {
-                    value,
-                    rowid,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let mut metrics = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_add(1, Ordering::Relaxed);
-        metrics.total = start.elapsed();
+        let (_, metrics) = self.write(value, move |index| (1, index.insert_row(value, rowid)));
         metrics
     }
 
@@ -1172,49 +1028,44 @@ impl RangePartitionedCracker {
     /// the partition owning the key's range, like any other write.
     /// Returns how many rows were removed (0 or 1).
     pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::DeleteRow {
-                    value,
-                    rowid,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let (removed, mut metrics) = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_sub(removed as usize, Ordering::Relaxed);
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.write(value, move |index| removal(index.delete_row(value, rowid)))
     }
 
     /// Deletes every row whose key equals `value`. Rows with the key can
     /// live only in the owning partition, so the delete is a single
     /// round-trip to one owner.
     pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
+        self.write(value, move |index| removal(index.delete(value)))
+    }
+
+    /// Routes one write of rows keyed `key` to the owner of the key's
+    /// range — forwarded by key through any repartition redirect — and
+    /// applies `apply` there. `apply` reports the signed change in row
+    /// count, which keeps the owner's size ledger and the router's `len`
+    /// current; the write returns how many rows it changed.
+    fn write(
+        &self,
+        key: i64,
+        apply: impl FnOnce(&ConcurrentCracker) -> (isize, QueryMetrics) + Send + 'static,
+    ) -> (u64, QueryMetrics) {
         let start = Instant::now();
-        let reply_rx = {
+        let mut replies = Replies::new();
+        {
             let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::Delete {
-                    value,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let (removed, mut metrics) = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_sub(removed as usize, Ordering::Relaxed);
+            let owner = &table.partitions[partition_of(&table.splits, key)].sender;
+            replies.send(owner, |reply| OwnerRequest::Write {
+                key,
+                job: job(reply, move |ctx| {
+                    let (rows, metrics) = apply(&ctx.index);
+                    resize(&ctx.size, rows);
+                    (rows, metrics)
+                }),
+            });
+        }
+        let (rows, mut metrics) = replies.one();
+        resize(&self.len, rows);
         metrics.total = start.elapsed();
-        (removed, metrics)
+        (rows.unsigned_abs() as u64, metrics)
     }
 
     /// Opens a snapshot across every partition: one epoch per owner,
@@ -1239,14 +1090,15 @@ impl RangePartitionedCracker {
             shared.live_snapshots.fetch_add(1, Ordering::SeqCst);
             shared.current_table()
         };
-        let mut epochs = Vec::with_capacity(table.partitions.len());
-        for part in &table.partitions {
-            let (reply_tx, reply_rx) = channel();
-            part.sender
-                .send(OwnerRequest::SnapshotOpen { reply: reply_tx })
-                .expect("partition owner exited early");
-            epochs.push(reply_rx.recv().expect("partition owner died"));
-        }
+        let epochs = table
+            .partitions
+            .iter()
+            .map(|part| {
+                ask(&part.sender, OwnerRequest::Local, |ctx| {
+                    ctx.index.register_snapshot_epoch()
+                })
+            })
+            .collect();
         RangeSnapshot {
             idx: self,
             table,
@@ -1254,29 +1106,31 @@ impl RangePartitionedCracker {
         }
     }
 
+    /// Sends `probe` to every owner of the current routing generation as
+    /// a local job and yields their answers in arrival order.
+    fn ask_all<T: Send + 'static>(
+        &self,
+        probe: fn(&ConcurrentCracker) -> T,
+    ) -> impl Iterator<Item = T> {
+        let mut replies = Replies::new();
+        for part in &self.shared.pin_table().partitions {
+            replies.send(&part.sender, |reply| {
+                OwnerRequest::Local(job(reply, move |ctx| probe(&ctx.index)))
+            });
+        }
+        replies.wait()
+    }
+
     /// Sums `(delta rows, compactions + incremental steps)` across all
     /// partition owners.
     pub fn delta_stats(&self) -> (u64, u64) {
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::DeltaStats {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
-        let mut pending = 0u64;
-        let mut merges = 0u64;
-        for _ in 0..fanout {
-            let (p, m) = reply_rx.recv().expect("partition owner died");
-            pending += p;
-            merges += m;
-        }
-        (pending, merges)
+        self.ask_all(|index| {
+            (
+                index.delta_rows(),
+                index.compactions_performed() + index.compaction_steps_performed(),
+            )
+        })
+        .fold((0, 0), |(rows, merges), (r, m)| (rows + r, merges + m))
     }
 
     /// Requests handled per partition since construction — the routed
@@ -1297,21 +1151,9 @@ impl RangePartitionedCracker {
     /// probe is consistent per partition (not across partitions — it is
     /// a diagnostic, not a snapshot).
     pub fn structure_probe(&self) -> StructureProbe {
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::Structure {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
         let mut probe = StructureProbe::default();
-        for _ in 0..fanout {
-            probe.merge(&reply_rx.recv().expect("partition owner died"));
+        for part in self.ask_all(|index| index.structure_probe()) {
+            probe.merge(&part);
         }
         // Read after the owners answered so the load includes the probe
         // requests themselves (keeps sum(load) == routed ops).
@@ -1328,19 +1170,7 @@ impl RangePartitionedCracker {
         while shared.steals_in_flight.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
-        let (reply_rx, fanout) = {
-            let table = shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::Check {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
-        let ok = (0..fanout).all(|_| reply_rx.recv().unwrap_or(false));
+        let ok = self.ask_all(|index| index.check_invariants()).all(|ok| ok);
         shared.steal_pause.store(false, Ordering::SeqCst);
         ok
     }
@@ -1356,11 +1186,8 @@ impl ColumnIndex for RangePartitionedCracker {
         // The pin covers only the sends: once a request is enqueued, a
         // routing-table swap can't lose it (the redirect protocol drains
         // the old generation before retiring).
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_read::<S>(&table, low, high, None)
-        };
-        collect_read::<S>(reply_rx, fanout, start)
+        let replies = send_read::<S>(&self.shared.pin_table(), low, high, None);
+        collect_read::<S>(replies, start)
     }
 
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
@@ -1541,13 +1368,10 @@ fn perform_split(shared: &Arc<Shared>, hot: usize) -> Rebalance {
     // 1. Ask the owner for a crack boundary near its middle. Splitting at
     //    an existing crack means the handoff moves whole pieces — no data
     //    movement beyond the memcpy of the upper chunk.
-    let (key_tx, key_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::SplitKey { reply: key_tx })
-        .expect("partition owner exited early");
-    let at = match key_rx.recv() {
-        Ok(Some(at)) if at > lower && upper.is_none_or(|u| at < u) => at,
+    let at = match ask(&parent.sender, OwnerRequest::Control, |ctx| {
+        ctx.index.median_crack_key()
+    }) {
+        Some(at) if at > lower && upper.is_none_or(|u| at < u) => at,
         _ => return Rebalance::Balanced, // nothing crackable to split at
     };
 
@@ -1555,16 +1379,21 @@ fn perform_split(shared: &Arc<Shared>, hot: usize) -> Rebalance {
     //    starts redirecting. From here the transaction must complete.
     let (child_tx, child_rx) = channel();
     let child_id = shared.next_partition_id.fetch_add(1, Ordering::Relaxed);
-    let (extract_tx, extract_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::SplitExtract {
+    let redirect_to = child_tx.clone();
+    let child_index = ask(&parent.sender, OwnerRequest::Control, move |ctx| {
+        let (values, rowids, cracks) = ctx.index.split_off(at);
+        let child =
+            ConcurrentCracker::from_rows_with_cracks(values, rowids, &cracks, ctx.index.protocol())
+                .with_compaction(ctx.index.compaction_policy());
+        ctx.size.store(ctx.index.len(), Ordering::Relaxed);
+        // Installed before the answer: every later request in this queue
+        // (routed by the old table) hits the redirect.
+        ctx.redirect = Some(Redirect {
             at,
-            child: child_tx.clone(),
-            reply: extract_tx,
-        })
-        .expect("partition owner exited early");
-    let child_index = extract_rx.recv().expect("partition owner died mid-split");
+            to: redirect_to,
+        });
+        child
+    });
     let moved = child_index.len() as u64;
 
     // 3. Publish the new routing generation and wait out the old one.
@@ -1592,12 +1421,9 @@ fn perform_split(shared: &Arc<Shared>, hot: usize) -> Rebalance {
     // 4. Every request routed by the old table is now in some queue ahead
     //    of this retire message, so the redirect has nothing left to
     //    catch.
-    let (retire_tx, retire_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::RetireRedirect { reply: retire_tx })
-        .expect("partition owner exited early");
-    retire_rx.recv().expect("partition owner died mid-retire");
+    ask(&parent.sender, OwnerRequest::Control, |ctx| {
+        ctx.redirect = None
+    });
 
     shared.splits_performed.fetch_add(1, Ordering::Relaxed);
     emit(TraceEvent::Repartition {
@@ -1612,8 +1438,9 @@ fn perform_split(shared: &Arc<Shared>, hot: usize) -> Rebalance {
 }
 
 /// Merges partition `left + 1` into `left`: the victim hands its rows to
-/// the absorber and forwards everything from then on; the old routing
-/// generation keeps the victim's channel alive until its pins drain.
+/// the absorber and forwards every client request from then on; the old
+/// routing generation keeps the victim's channel alive until its pins
+/// drain.
 fn perform_merge(shared: &Arc<Shared>, left: usize) -> Rebalance {
     let start = Instant::now();
     let table = shared.pin_table();
@@ -1624,16 +1451,26 @@ fn perform_merge(shared: &Arc<Shared>, left: usize) -> Rebalance {
     let victim = table.partitions[left + 1].clone();
     let boundary = table.splits[left];
 
-    let (merge_tx, merge_rx) = channel();
-    victim
-        .sender
-        .send(OwnerRequest::MergeExtract {
-            into: absorber.sender.clone(),
-            boundary,
-            reply: merge_tx,
-        })
-        .expect("partition owner exited early");
-    let moved = merge_rx.recv().expect("partition owner died mid-merge");
+    let into = absorber.sender.clone();
+    let moved = ask(&victim.sender, OwnerRequest::Control, move |ctx| {
+        let (values, rowids, cracks) = ctx.index.split_off(i64::MIN);
+        let moved = values.len();
+        // Wait until the absorber has installed the rows: a request
+        // forwarded afterwards must find them there. The absorber never
+        // waits on this owner, so this can't deadlock.
+        ask(&into, OwnerRequest::Control, move |absorber| {
+            absorber
+                .index
+                .absorb_upper(values, rowids, &cracks, boundary);
+            absorber.size.fetch_add(moved, Ordering::Relaxed);
+        });
+        ctx.size.store(0, Ordering::Relaxed);
+        ctx.redirect = Some(Redirect {
+            at: i64::MIN,
+            to: into,
+        });
+        moved as u64
+    });
 
     let mut splits = table.splits.clone();
     let mut partitions = table.partitions.clone();
@@ -1695,8 +1532,8 @@ impl RangeSnapshot<'_> {
     /// answering at its pinned epoch.
     pub fn read<S: ReadShape>(&self, low: i64, high: i64) -> (S::Output, QueryMetrics) {
         let start = Instant::now();
-        let (reply_rx, fanout) = send_read::<S>(&self.table, low, high, Some(&self.epochs));
-        collect_read::<S>(reply_rx, fanout, start)
+        let replies = send_read::<S>(&self.table, low, high, Some(&self.epochs));
+        collect_read::<S>(replies, start)
     }
 }
 
@@ -1705,13 +1542,26 @@ impl Drop for RangeSnapshot<'_> {
         for (part, &epoch) in self.table.partitions.iter().zip(&self.epochs) {
             // The owner can only be gone if the whole index is tearing
             // down, which releases everything anyway.
-            let _ = part.sender.send(OwnerRequest::SnapshotClose { epoch });
+            let _ = part.sender.send(OwnerRequest::Local(Box::new(move |ctx| {
+                ctx.index.release_snapshot_epoch(epoch)
+            })));
         }
         self.idx
             .shared
             .live_snapshots
             .fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Applies a signed row-count change to a size ledger (a wrapping add of
+/// its two's complement).
+fn resize(rows: &AtomicUsize, change: isize) {
+    rows.fetch_add(change as usize, Ordering::Relaxed);
+}
+
+/// A delete's outcome as a signed row-count change.
+fn removal((removed, metrics): (u64, QueryMetrics)) -> (isize, QueryMetrics) {
+    (-(removed as isize), metrics)
 }
 
 /// Index of the partition owning key `v`: the number of splits `<= v`.
@@ -1721,46 +1571,32 @@ fn partition_of(splits: &[i64], v: i64) -> usize {
 
 /// Sends one read to the owners of the partitions `[low, high)` overlaps,
 /// clipped per partition and pinned at their snapshot epochs if given.
-/// Returns the shared reply channel and the fan-out count (0 for an empty
-/// range); the caller collects after releasing its table pin.
+/// The caller waits for the answers after releasing its table pin.
 fn send_read<S: ReadShape>(
     table: &RoutingTable,
     low: i64,
     high: i64,
     epochs: Option<&[u64]>,
-) -> (Receiver<(S::Output, QueryMetrics)>, usize) {
-    let (reply_tx, reply_rx) = channel();
-    if low >= high {
-        return (reply_rx, 0);
+) -> Replies<(S::Output, QueryMetrics)> {
+    let mut replies = Replies::new();
+    if low < high {
+        for p in partition_of(&table.splits, low)..=partition_of(&table.splits, high - 1) {
+            let (lo, hi) = table.clip(p, low, high);
+            let epoch = epochs.map(|e| e[p]);
+            replies.send(&table.partitions[p].sender, |reply| {
+                Read::<S>::request(lo, hi, epoch, reply)
+            });
+        }
     }
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        let job = Read::<S> {
-            low: lo,
-            high: hi,
-            epoch: epochs.map(|e| e[p]),
-            reply: reply_tx.clone(),
-        };
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::Read(Box::new(job)))
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
+    replies
 }
 
-/// Collects the `fanout` partial answers of one read and merges them.
+/// Waits for the partial answers of one read and merges them.
 fn collect_read<S: ReadShape>(
-    reply_rx: Receiver<(S::Output, QueryMetrics)>,
-    fanout: usize,
+    replies: Replies<(S::Output, QueryMetrics)>,
     start: Instant,
 ) -> (S::Output, QueryMetrics) {
-    let parts = (0..fanout)
-        .map(|_| reply_rx.recv().expect("partition owner died"))
-        .collect();
-    let (out, mut metrics) = S::merge(parts);
+    let (out, mut metrics) = S::merge(replies.wait().collect());
     metrics.total = start.elapsed();
     (out, metrics)
 }
@@ -1807,6 +1643,7 @@ mod tests {
     use super::*;
     use aidx_core::{Count, KeyRuns, RowIdSet, Sum};
     use aidx_storage::ops;
+    use std::collections::BTreeMap;
     use std::thread;
 
     fn shuffled(n: usize) -> Vec<i64> {
@@ -2003,7 +1840,8 @@ mod tests {
     #[test]
     fn per_partition_compaction_bounds_each_partitions_delta() {
         let values = shuffled(4000);
-        let idx = RangePartitionedCracker::with_compaction_threshold(values.clone(), 4, 16);
+        let idx =
+            RangePartitionedCracker::with_compaction(values.clone(), 4, CompactionPolicy::rows(16));
         idx.read::<Sum>(0, 4000); // warm: every partition cracks
         let mut oracle = values.clone();
         let mut max_pending = 0;
@@ -2511,6 +2349,101 @@ mod tests {
             assert_eq!(idx.read::<Sum>(low, high).0, ops::sum(&values, low, high));
         }
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), n);
+        assert!(idx.check_invariants());
+    }
+
+    #[test]
+    fn writes_racing_repartition_land_exactly_once() {
+        const WRITERS: i64 = 3;
+        let n = 20_000usize;
+        let values = shuffled(n);
+        // At the owner cap from the start: passes alternate between
+        // merging the coldest pair and splitting the hot low partition.
+        let mut config = quiet(1.05, 64, 1);
+        config.max_partitions = 4;
+        let idx = Arc::new(RangePartitionedCracker::adaptive(values.clone(), 4, config));
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut writers = Vec::new();
+        for w in 0..WRITERS {
+            let idx = Arc::clone(&idx);
+            let stop = Arc::clone(&stop);
+            // Each writer owns the keys `≡ w (mod WRITERS)` in the hot range
+            // `[0, 1000)`, so it knows every row a delete must remove: the
+            // base rows of its keys plus its own inserts (rowid → key).
+            let mut live: BTreeMap<RowId, i64> = values
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v < 1000 && v % WRITERS == w)
+                .map(|(i, &v)| (i as RowId, v))
+                .collect();
+            writers.push(thread::spawn(move || {
+                let mut next_rowid = n as RowId + w as RowId * 1_000_000;
+                let mut i = 0i64;
+                while !stop.load(Ordering::Relaxed) {
+                    let key = w + WRITERS * (i % 333);
+                    let kept = next_rowid;
+                    let dropped = next_rowid + 1;
+                    next_rowid += 2;
+                    for rowid in [kept, dropped] {
+                        idx.insert_row(key, rowid);
+                        live.insert(rowid, key);
+                    }
+                    assert_eq!(
+                        idx.delete_row(key, dropped).0,
+                        1,
+                        "a racing delete_row missed the writer's own row"
+                    );
+                    live.remove(&dropped);
+                    if i % 8 == 7 {
+                        let victim = w + WRITERS * ((i * 31) % 333);
+                        let before = live.len();
+                        live.retain(|_, &mut k| k != victim);
+                        assert_eq!(
+                            idx.delete(victim).0,
+                            (before - live.len()) as u64,
+                            "a racing delete removed the wrong rows"
+                        );
+                    }
+                    i += 1;
+                }
+                live
+            }));
+        }
+        for round in 0..80 {
+            for i in 0..200i64 {
+                let low = (round * 37 + i) % 1000;
+                idx.read::<Count>(low, low + 50);
+            }
+            idx.try_rebalance();
+            if idx.splits_performed() >= 2 && idx.merges_performed() >= 1 {
+                break;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        let mut oracle: BTreeMap<RowId, i64> = values
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v >= 1000)
+            .map(|(i, &v)| (i as RowId, v))
+            .collect();
+        for writer in writers {
+            oracle.extend(writer.join().unwrap());
+        }
+        assert!(
+            idx.splits_performed() >= 1 && idx.merges_performed() >= 1,
+            "the race must exercise a split and a merge"
+        );
+        let mut rows: Vec<(i64, RowId)> = oracle.iter().map(|(&r, &k)| (k, r)).collect();
+        rows.sort_unstable();
+        assert!(
+            idx.read::<KeyRuns>(i64::MIN, i64::MAX)
+                .0
+                .into_sorted_pairs()
+                == rows,
+            "racing writes were dropped, doubled or misplaced"
+        );
+        assert_eq!(idx.len(), oracle.len());
+        assert_eq!(idx.partition_sizes().iter().sum::<usize>(), oracle.len());
         assert!(idx.check_invariants());
     }
 

@@ -150,7 +150,11 @@ proptest! {
         ops in prop::collection::vec((0u8..4, -200i64..200, -200i64..200), 1..40),
         partitions in 1usize..5,
     ) {
-        let idx = RangePartitionedCracker::with_compaction_threshold(values.clone(), partitions, 3);
+        let idx = RangePartitionedCracker::with_compaction(
+            values.clone(),
+            partitions,
+            CompactionPolicy::rows(3),
+        );
         let mut oracle = oracle_from(&values);
         for &(kind, a, b) in &ops {
             match kind {

@@ -228,12 +228,13 @@ pub struct ExperimentConfig {
     pub write_ratio: f64,
     /// Delta compaction threshold in rows: adaptive arms rebuild their
     /// main structure once the pending delta reaches this many rows
-    /// (per chunk for `ParallelChunk`, per partition for `ParallelRange`).
-    /// `0` disables compaction, reproducing the unbounded pre-compaction
-    /// delta — except for `ParallelRange`, whose partition owners have
-    /// always bounded their deltas (merge-on-next-crack historically,
-    /// the bounded incremental default now). Arms without a pending
-    /// delta (scan, sort, adaptive-merge) ignore the knob.
+    /// (per chunk for `ParallelChunk`, per partition for `ParallelRange`,
+    /// which builds `RangePartitionedCracker::with_compaction` with
+    /// `CompactionPolicy::rows(threshold)`). `0` disables compaction,
+    /// reproducing the unbounded pre-compaction delta — except for
+    /// `ParallelRange`, where `0` builds `RangePartitionedCracker::new`
+    /// and so keeps its bounded incremental default. Arms without a
+    /// pending delta (scan, sort, adaptive-merge) ignore the knob.
     pub compaction_threshold: u64,
     /// Pieces per incremental compaction walk step: `> 0` switches the
     /// triggered compaction from the quiescing whole-array rebuild to the
@@ -310,7 +311,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the delta compaction threshold (builder style; 0 disables).
+    /// Sets the delta compaction threshold (builder style; 0 disables,
+    /// except on the range arm — see the field).
     pub fn compaction_threshold(mut self, compaction_threshold: u64) -> Self {
         self.compaction_threshold = compaction_threshold;
         self

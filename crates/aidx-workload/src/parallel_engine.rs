@@ -88,28 +88,11 @@ pub struct ParallelRangeEngine {
 }
 
 impl ParallelRangeEngine {
-    /// Builds the engine with `partitions` latch-free partitions.
+    /// Builds the engine with `partitions` latch-free partitions, each
+    /// bounding its delta with the range backend's default incremental
+    /// compaction policy.
     pub fn new(values: Vec<i64>, partitions: usize) -> Self {
-        Self::with_compaction_threshold(values, partitions, 0)
-    }
-
-    /// As [`ParallelRangeEngine::new`], with every partition eagerly
-    /// merging its pending delta at `compaction_threshold` rows (0 =
-    /// merge only on crack).
-    pub fn with_compaction_threshold(
-        values: Vec<i64>,
-        partitions: usize,
-        compaction_threshold: usize,
-    ) -> Self {
-        // Route through the index constructor so threshold 0 keeps its
-        // "bounded default policy" meaning instead of decaying to
-        // rows(0) == disabled (which would reintroduce unbounded
-        // per-partition delta growth for default-configured engines).
-        let index = RangePartitionedCracker::with_compaction_threshold(
-            values,
-            partitions,
-            compaction_threshold,
-        );
+        let index = RangePartitionedCracker::new(values, partitions);
         let name = format!("parallel-range-{}", index.partition_count());
         ParallelRangeEngine { index, name }
     }
