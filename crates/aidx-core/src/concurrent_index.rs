@@ -1879,8 +1879,8 @@ impl ConcurrentCracker {
         let mut toc = self.lock_toc();
         let pieces = toc.map.pieces();
         let old_len = self.data.len();
-        let new_len = (old_len - toc.total_holes + drained.pending_inserts as usize)
-            .saturating_sub(drained.tombstoned_rows as usize);
+        let new_len = (old_len - toc.total_holes + drained.inserts.len())
+            .saturating_sub(drained.doomed.len());
         let mut inserts = drained.inserts.iter().copied().peekable();
         let mut values = Vec::with_capacity(new_len);
         let mut rowids = Vec::with_capacity(new_len);
@@ -1923,7 +1923,7 @@ impl ConcurrentCracker {
         // The rebuild reclaimed every hole (quiesced, so no reader races
         // the mirror reset).
         self.hole_rows.store(0, Ordering::Release);
-        (drained.pending_inserts, drained.tombstoned_rows)
+        (drained.inserts.len() as u64, drained.doomed.len() as u64)
     }
 
     /// Builds a concurrent cracker from rows plus an existing crack
@@ -2171,8 +2171,13 @@ impl ConcurrentCracker {
     /// value bounds of every piece's *live* range (dead tails hold stale
     /// values by design), and the hole ledger (each hole zone fits inside
     /// its piece; totals agree). Only meaningful when no other thread is
-    /// using the index (tests call this after joining workers).
+    /// using the index (tests call this after joining workers). Also runs
+    /// the pending delta's ledger self-check, taken before the TOC in the
+    /// latch order.
     pub fn check_invariants(&self) -> bool {
+        if !self.delta.check_ledger_invariants() {
+            return false;
+        }
         let toc = self.lock_toc();
         if !toc.map.check_invariants() {
             return false;

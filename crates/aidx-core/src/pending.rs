@@ -6,97 +6,79 @@
 //! index as queries touch the affected key ranges. [`PendingDelta`]
 //! implements that side structure for the cracker family:
 //!
-//! * **Inserts** accumulate as a `value → multiplicity` map, each inserted
-//!   row carrying the **row id** its table assigned (tuple identity, kept
-//!   through every later physical move). The cracker array is allocated
-//!   once and never grows (that fixed footprint is what makes the
-//!   piece-latch `unsafe` contract of
-//!   [`SharedCrackerArray`](crate::SharedCrackerArray) sound), so pending
-//!   inserts stay in the delta and every query folds the qualifying ones
-//!   into its answer with an `O(log n + k)` range probe.
+//! * **Inserts** stay in the delta as rows, each carrying the **row id**
+//!   its table assigned (tuple identity, kept through every later physical
+//!   move). The cracker array is allocated once and never grows (that
+//!   fixed footprint is what makes the piece-latch `unsafe` contract of
+//!   [`SharedCrackerArray`](crate::SharedCrackerArray) sound), so every
+//!   query folds the qualifying pending rows into its answer with an
+//!   `O(log n + k)` range probe.
 //! * **Deletes** are resolved against the *cracked* main structure: a
 //!   delete first refines the index at the deleted key's bounds under the
 //!   normal latch protocol (merge-on-crack — the delete pays for the
 //!   refinement exactly like a query would), learns precisely *which*
-//!   main-array rows carry the key, and records each doomed row id as a
+//!   main-array rows carry the key, and marks each doomed row id as a
 //!   *tombstone*. Because cracking never changes the array's multiset of
 //!   (value, row id) pairs, the tombstoned set stays exact forever after —
 //!   and a physical sweep removes exactly the doomed rows, never a
 //!   same-valued row inserted later.
 //!
-//! # Epoch stamps and snapshot reads
+//! # One row ledger
 //!
-//! Every write is stamped with a monotonically increasing **column
-//! epoch**. A reader that wants a frozen view registers a snapshot at the
-//! current epoch `e` and asks the delta for the adjustment *as of* `e`
-//! ([`PendingDelta::adjust`] with `Some(e)`): stamps with epoch `> e` are
-//! invisible.
-//! Because the main array is reconciled physically over time (piece
-//! shrinking reclaims tombstoned rows, incremental compaction merges
-//! pending inserts into holes, full compaction rebuilds the array), the
-//! delta also keeps a **compensation ledger**: whenever stamped rows move
-//! between the delta domain and the main array, the moved stamps land in
-//! the ledger — tombstone stamps positively (the row is physically gone
-//! but was logically alive before its delete epoch), insert stamps negated
-//! (the row is physically in main but logically absent before its insert
-//! epoch). A snapshot at epoch `e` folds ledger entries with epoch `> e`
-//! on top of `main@now`, which restores exactly `main@e + delta≤e`:
+//! The delta is one map `value → rows`. A row is a row id with a
+//! logical lifetime and a physical place: `born` (its insert epoch, 0 for
+//! a base row of the main array), `died` (its delete epoch, or alive) and
+//! `in_main` (whether the main array physically holds it). Every write is
+//! stamped with a monotonically increasing **column epoch**; a reader
+//! that wants a frozen view registers a snapshot at the current epoch and
+//! reads *as of* it.
 //!
-//! ```text
-//! answer(e) = main@now + stamps(≤ e) + compensation(> e)
-//! ```
+//! * **Visibility rule.** A row is visible at epoch `e` iff
+//!   `born <= e < died`. A read at `e` (a live read uses the current
+//!   epoch) scans the main array, hides the in-main rows not visible at
+//!   `e` and adds the off-main rows visible at `e`
+//!   ([`PendingDelta::adjust`] folds that into counts and sums,
+//!   [`PendingDelta::pair_view`] into row ids). A pending insert is an
+//!   off-main row visible now, a tombstone an in-main row hidden now.
+//! * **Transitions.** A delete sets `died`. A reconciliation that places
+//!   a row in the main array (incremental compaction, a full rebuild)
+//!   sets `in_main`; one that removes it (a piece shrink, a full rebuild)
+//!   clears it. Nothing else changes a row, and a row id has at most one
+//!   row.
+//! * **Keep rule.** A row stays in the ledger iff some reader still needs
+//!   it: its visibility differs from `in_main` at the current epoch or at
+//!   a live snapshot epoch. Pending inserts and tombstones are needed now;
+//!   any other row only while a live snapshot sees it differently from
+//!   the main array (deleted after the snapshot and since swept out of
+//!   main, or placed in main after the snapshot). A row born and killed
+//!   between two snapshot epochs is invisible to both and goes at once,
+//!   so a hot key churning under a pinned snapshot keeps O(1) history,
+//!   not O(writes).
 //!
-//! Current-epoch readers skip both stamp histories and the ledger
-//! entirely (net counters answer them), so the read-only fast path is
-//! unchanged. Ledger entries and stamp histories are garbage-collected as
-//! snapshots retire, and **compressed while snapshots are live**: two
-//! stamps with no live snapshot epoch between them are indistinguishable
-//! to every reader that can ever ask (snapshot epochs only move forward),
-//! so they merge into one on arrival. A long-lived snapshot over a hot
-//! key therefore keeps O(live snapshots) history per value instead of
-//! O(writes).
-//!
-//! # The row ledger
-//!
-//! Counts answer Q1/Q2; *row id* reads (multi-column selection via rowid
-//! intersection) need to know which tuples qualify. Alongside the count
-//! stamps the delta keeps a per-value row ledger:
-//!
-//! * **pending rows** — inserted rows not yet physically placed, with
-//!   `born` (insert epoch) and `died` (delete epoch, or alive),
-//! * **tombstone rows** — main-array rows logically deleted but still
-//!   physically present, with their delete epoch,
-//! * **ghost rows** — rows physically removed from the main array that a
-//!   pre-delete snapshot must still see,
-//! * **placed rows** — rows physically merged into the main array that a
-//!   pre-insert snapshot must *not* see.
-//!
-//! [`PendingDelta::pair_view`] folds the ledger into a `(hidden main rows,
-//! extra rows)` pair a main-array scan combines with. Entries invisible to every live snapshot are dropped
-//! eagerly, so the row ledger obeys the same boundedness as the stamps.
-//!
-//! The logical content of the index is therefore always
-//! `main multiset + pending inserts − tombstones`, and since the main
-//! multiset changes only through epoch-guarded reclamations, a query needs
-//! one consistent snapshot of the delta (a single short mutex) plus the
-//! shrink-epoch validation to be linearizable.
+//! Since the main multiset changes only through epoch-guarded
+//! reconciliations, a query needs one consistent view of the delta (a
+//! single short mutex) plus the shrink-epoch validation to be
+//! linearizable.
 
 use aidx_latch::dcheck;
 use aidx_latch::facade::{Mutex, MutexGuard};
 use aidx_storage::RowId;
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Aggregate adjustments the delta contributes to one range query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaAdjust {
-    /// Pending inserted rows with values in the queried range.
+    /// Off-main rows visible at the read epoch with values in the range
+    /// (pending inserts, and rows reconciled out of main since a snapshot).
     pub insert_count: u64,
-    /// Sum of the pending inserted values in the queried range.
+    /// Sum of those rows' values.
     pub insert_sum: i128,
-    /// Tombstoned (logically deleted) main-array rows in the range.
+    /// Main-array rows in the range hidden at the read epoch (tombstones,
+    /// and rows placed into main after a snapshot).
     pub tombstone_count: u64,
-    /// Sum of the tombstoned values in the range.
+    /// Sum of those rows' values.
     pub tombstone_sum: i128,
 }
 
@@ -105,338 +87,143 @@ pub struct DeltaAdjust {
 /// consistent snapshot of the delta state ([`PendingDelta::pair_view`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PairView {
-    /// Row ids the main-array scan must suppress: tombstoned rows (already
-    /// deleted at the read epoch) and — for snapshot reads — rows placed
-    /// into the main array after the snapshot epoch.
+    /// Row ids the main-array scan must suppress: in-main rows not visible
+    /// at the read epoch.
     pub hidden: HashSet<RowId>,
-    /// `(key, rowid)` rows the scan must add: pending inserted rows (alive
-    /// at the read epoch) and — for snapshot reads — ghost rows physically
-    /// reclaimed after the snapshot epoch. Keyed because the delta's
-    /// BTreeMaps index by value — no main-array probe needed.
+    /// `(key, rowid)` rows the scan must add: off-main rows visible at the
+    /// read epoch. Keyed because the ledger indexes by value — no
+    /// main-array probe needed.
     pub extra: Vec<(i64, RowId)>,
 }
 
-/// Sentinel for "row still alive" in the row ledger.
+/// Sentinel for "row still alive" in [`Row::died`].
 const ALIVE: u64 = u64::MAX;
 
-/// One epoch-stamped adjustment to a value's multiplicity. Insert stamps
-/// are signed (a delete negates the pending rows it found); tombstone
-/// stamps are always positive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Stamp {
-    epoch: u64,
-    count: i64,
-}
-
-/// A pending inserted row: born at its insert epoch, dead once a delete
-/// negates it ([`ALIVE`] until then).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingRow {
+/// One row of the ledger (see the module docs).
+#[derive(Debug)]
+struct Row {
     rowid: RowId,
+    /// Insert epoch; 0 for a base row of the main array.
     born: u64,
+    /// Delete epoch; [`ALIVE`] until a delete.
     died: u64,
+    /// Whether the main array physically holds the row.
+    in_main: bool,
 }
 
-/// A logically deleted main-array row, still physically present.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TombRow {
-    rowid: RowId,
-    epoch: u64,
+impl Row {
+    /// The visibility rule.
+    fn visible(&self, epoch: u64) -> bool {
+        self.born <= epoch && epoch < self.died
+    }
+
+    /// True when a read at `epoch` must correct the main-array scan for
+    /// this row: hide it (in main, not visible) or add it (off main,
+    /// visible).
+    fn differs(&self, epoch: u64) -> bool {
+        self.visible(epoch) != self.in_main
+    }
 }
 
-/// A row physically removed from the main array (swept or dropped by a
-/// rebuild): visible exactly to snapshots with `born <= e < died`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GhostRow {
-    rowid: RowId,
-    born: u64,
-    died: u64,
-}
-
-/// A row physically merged into the main array: a snapshot with
-/// `e < born` must not see it even though the scan finds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlacedRow {
-    rowid: RowId,
-    born: u64,
-}
-
-/// Per-value stamped multiplicity: the net *current* count plus the epoch
-/// history that lets snapshots reconstruct earlier prefixes. With no live
-/// snapshot the history is collapsed to a single stamp; with live
-/// snapshots, stamps in the same inter-snapshot gap merge on arrival.
+/// Every epoch a read can ask at.
 #[derive(Debug, Default)]
-struct StampCell {
-    /// Current visible count (sum of all stamps; never negative).
-    net: u64,
-    /// Epoch history, ascending by epoch (epochs are assigned under the
-    /// delta lock, so append order is epoch order).
-    stamps: Vec<Stamp>,
+struct Readers {
+    /// Epoch of the most recent write (0 = nothing written yet): what a
+    /// live read, or a snapshot registered now, reads at.
+    epoch: u64,
+    /// snapshot epoch → number of live snapshot handles registered at it.
+    snapshots: BTreeMap<u64, usize>,
 }
 
-impl StampCell {
-    /// Sum of the stamps visible at snapshot epoch `epoch` (may be
-    /// negative mid-history; the caller's main-array term compensates).
-    fn prefix(&self, epoch: u64) -> i128 {
-        self.stamps
-            .iter()
-            .take_while(|s| s.epoch <= epoch)
-            .map(|s| s.count as i128)
-            .sum()
-    }
-
-    /// Collapses the whole history into one stamp at `epoch` (correct
-    /// whenever no live snapshot predates `epoch`).
-    fn collapse(&mut self, epoch: u64) {
-        self.stamps.clear();
-        if self.net > 0 {
-            self.stamps.push(Stamp {
-                epoch,
-                count: self.net as i64,
-            });
-        }
-    }
-
-    /// Pushes a stamp, merging it into the previous one when no live
-    /// snapshot epoch separates them (snapshot-bounded compression: no
-    /// reader that can ever exist distinguishes the two, because snapshot
-    /// epochs only move forward).
-    fn push(&mut self, stamp: Stamp, live: &BTreeMap<u64, usize>) {
-        if let Some(last) = self.stamps.last_mut() {
-            if live.range(last.epoch..stamp.epoch).next().is_none() {
-                last.count += stamp.count;
-                last.epoch = stamp.epoch;
-                if last.count == 0 {
-                    self.stamps.pop();
-                }
-                return;
-            }
-        }
-        self.stamps.push(stamp);
+impl Readers {
+    /// The keep rule: some reader (the current epoch or a live snapshot)
+    /// still needs `row`.
+    fn need(&self, row: &Row) -> bool {
+        std::iter::once(self.epoch)
+            .chain(self.snapshots.keys().copied())
+            .any(|epoch| row.differs(epoch))
     }
 }
 
 #[derive(Debug, Default)]
 struct DeltaState {
-    /// Epoch of the most recent stamped write (0 = nothing written yet).
-    epoch: u64,
-    /// value → stamped pending-insert multiplicity.
-    inserts: BTreeMap<i64, StampCell>,
-    /// value → stamped tombstone multiplicity. The net never exceeds the
-    /// value's multiplicity in the main array (enforced by the delete
-    /// path), and all stamps are positive.
-    tombstones: BTreeMap<i64, StampCell>,
-    /// The compensation ledger: stamps whose rows were physically
-    /// reconciled with the main array. Positive entries are retired
-    /// tombstones (ghost rows a pre-delete snapshot must still count),
-    /// negative entries are merged-in inserts (rows a pre-insert snapshot
-    /// must not count). An entry at epoch `t` affects only snapshots with
-    /// epoch `< t`.
-    compensation: BTreeMap<i64, Vec<Stamp>>,
-    /// value → pending inserted rows (the row ledger twin of `inserts`;
-    /// alive rows are the net, dead rows linger only while a live
-    /// snapshot can see them).
-    pending_rows: BTreeMap<i64, Vec<PendingRow>>,
-    /// value → tombstoned main-array row ids (the row ledger twin of
-    /// `tombstones`; exactly `net` entries per value).
-    tomb_rows: BTreeMap<i64, Vec<TombRow>>,
-    /// value → ghost rows (physically reclaimed; row-level compensation).
-    ghost_rows: BTreeMap<i64, Vec<GhostRow>>,
-    /// value → placed rows (physically merged; row-level compensation).
-    placed_rows: BTreeMap<i64, Vec<PlacedRow>>,
-    /// Net current pending inserted rows (sum of insert-cell nets).
+    readers: Readers,
+    /// value → the ledger rows with that value, at most one per row id,
+    /// in arrival order.
+    rows: BTreeMap<i64, Vec<Row>>,
+    /// Pending inserted rows (off main, alive).
     pending_inserts: u64,
-    /// Net current tombstoned rows (sum of tombstone-cell nets).
+    /// Tombstoned rows (in main, deleted).
     tombstoned_rows: u64,
-    /// snapshot epoch → number of live snapshot handles registered at it.
-    live_snapshots: BTreeMap<u64, usize>,
 }
 
 impl DeltaState {
-    /// Smallest live snapshot epoch, if any snapshot is registered.
-    fn min_live_snapshot(&self) -> Option<u64> {
-        self.live_snapshots.keys().next().copied()
-    }
-
-    /// True when at least one snapshot handle is live (cells must keep
-    /// their stamp histories and reconciliations must write the ledger).
-    fn snapshots_live(&self) -> bool {
-        !self.live_snapshots.is_empty()
-    }
-
-    /// True when some live snapshot can see a row alive on `[born, died)`.
-    fn row_relevant(&self, born: u64, died: u64) -> bool {
-        self.live_snapshots.range(born..died).next().is_some()
-    }
-
-    /// True when some live snapshot predates `born` (a placed row must
-    /// stay hidden from it).
-    fn placed_relevant(&self, born: u64) -> bool {
-        self.live_snapshots.range(..born).next().is_some()
-    }
-
-    /// Removes the placed-ledger entry for a row (it is about to become a
-    /// ghost, which carries the born epoch itself). Returns the born
-    /// epoch (0 when the row was a base row).
-    fn take_placed(&mut self, value: i64, rowid: RowId) -> u64 {
-        if let Some(rows) = self.placed_rows.get_mut(&value) {
-            if let Some(pos) = rows.iter().position(|p| p.rowid == rowid) {
-                let born = rows.swap_remove(pos).born;
-                if rows.is_empty() {
-                    self.placed_rows.remove(&value);
-                }
-                return born;
-            }
+    /// Runs one transition over `value`'s rows, then applies the keep
+    /// rule to them.
+    fn update<R>(&mut self, value: i64, transition: impl FnOnce(&mut Vec<Row>) -> R) -> R {
+        let rows = self.rows.entry(value).or_default();
+        let out = transition(rows);
+        rows.retain(|row| self.readers.need(row));
+        if rows.is_empty() {
+            self.rows.remove(&value);
         }
-        0
+        out
     }
 
-    /// Records a ghost row if any live snapshot can still see it.
-    fn add_ghost(&mut self, value: i64, rowid: RowId, born: u64, died: u64) {
-        if self.row_relevant(born, died) {
-            self.ghost_rows
-                .entry(value)
-                .or_default()
-                .push(GhostRow { rowid, born, died });
-        }
-    }
-
-    /// Garbage-collects history no live snapshot can observe: ledger
-    /// entries at epochs `<=` the oldest live snapshot, stamp prefixes the
-    /// oldest live snapshot already sees in full, row-ledger entries whose
-    /// visibility window contains no live snapshot epoch, and empty cells.
+    /// Applies the keep rule to every row (after a release shrinks the
+    /// reader set, or a drain reconciles every value at once).
     fn gc(&mut self) {
-        match self.min_live_snapshot() {
-            None => {
-                self.compensation.clear();
-                self.ghost_rows.clear();
-                self.placed_rows.clear();
-                let epoch = self.epoch;
-                self.inserts.retain(|_, cell| {
-                    cell.collapse(epoch);
-                    cell.net > 0
-                });
-                self.tombstones.retain(|_, cell| {
-                    cell.collapse(epoch);
-                    cell.net > 0
-                });
-                self.pending_rows.retain(|_, rows| {
-                    rows.retain(|r| r.died == ALIVE);
-                    !rows.is_empty()
-                });
-            }
-            Some(min_live) => {
-                self.compensation.retain(|_, stamps| {
-                    stamps.retain(|s| s.epoch > min_live);
-                    !stamps.is_empty()
-                });
-                for cells in [&mut self.inserts, &mut self.tombstones] {
-                    cells.retain(|_, cell| {
-                        // Merge the prefix every live snapshot sees in full
-                        // into one stamp (at the prefix's own last epoch).
-                        let split = cell
-                            .stamps
-                            .iter()
-                            .take_while(|s| s.epoch <= min_live)
-                            .count();
-                        if split > 1 {
-                            let merged: i128 =
-                                cell.stamps[..split].iter().map(|s| s.count as i128).sum();
-                            let epoch = cell.stamps[split - 1].epoch;
-                            cell.stamps.drain(..split - 1);
-                            cell.stamps[0] = Stamp {
-                                epoch,
-                                count: merged as i64,
-                            };
-                            if cell.stamps[0].count == 0 {
-                                cell.stamps.remove(0);
-                            }
-                        }
-                        cell.net > 0 || !cell.stamps.is_empty()
-                    });
-                }
-                let live = std::mem::take(&mut self.live_snapshots);
-                self.pending_rows.retain(|_, rows| {
-                    rows.retain(|r| r.died == ALIVE || live.range(r.born..r.died).next().is_some());
-                    !rows.is_empty()
-                });
-                self.ghost_rows.retain(|_, rows| {
-                    rows.retain(|r| live.range(r.born..r.died).next().is_some());
-                    !rows.is_empty()
-                });
-                self.placed_rows.retain(|_, rows| {
-                    rows.retain(|r| live.range(..r.born).next().is_some());
-                    !rows.is_empty()
-                });
-                self.live_snapshots = live;
-            }
-        }
+        self.rows.retain(|_, rows| {
+            rows.retain(|row| self.readers.need(row));
+            !rows.is_empty()
+        });
     }
 
-    /// Moves `mass` rows of stamp weight out of `cell` (oldest positive
-    /// stamps first) and records each moved piece in the compensation
-    /// ledger for `value` with the given `sign` — `+1` for retired
-    /// tombstones, `-1` for merged-in inserts. Skipped entirely when no
-    /// snapshot is live (`record` false). Adjacent ledger entries with no
-    /// live snapshot epoch between them merge (snapshot-bounded
-    /// compression).
-    fn reconcile_mass(
-        compensation: &mut BTreeMap<i64, Vec<Stamp>>,
-        live_snapshots: &BTreeMap<u64, usize>,
-        cell: &mut StampCell,
-        value: i64,
-        mut mass: u64,
-        sign: i64,
-        record: bool,
-    ) {
-        let mut idx = 0;
-        while mass > 0 && idx < cell.stamps.len() {
-            if cell.stamps[idx].count <= 0 {
-                idx += 1;
-                continue;
+    /// The delete transition at a fresh epoch: adds a base-row entry for
+    /// each main row id in `main` the ledger does not hold yet, then sets
+    /// `died` on every alive row of `value` that `doomed` selects. Returns
+    /// `(pending rows killed, main rows tombstoned)`.
+    fn delete(&mut self, value: i64, main: &[RowId], doomed: impl Fn(&Row) -> bool) -> (u64, u64) {
+        self.readers.epoch += 1;
+        let died = self.readers.epoch;
+        let (pending, tombstoned) = self.update(value, |rows| {
+            if !main.is_empty() {
+                let known: HashSet<RowId> = rows.iter().map(|row| row.rowid).collect();
+                let fresh = main.iter().filter(|rowid| !known.contains(rowid));
+                rows.extend(fresh.map(|&rowid| Row {
+                    rowid,
+                    born: 0,
+                    died: ALIVE,
+                    in_main: true,
+                }));
             }
-            let take = (cell.stamps[idx].count as u64).min(mass);
-            cell.stamps[idx].count -= take as i64;
-            mass -= take;
-            if record {
-                let entry = compensation.entry(value).or_default();
-                // Ledger entries for one value arrive in epoch order too
-                // (mass moves oldest-first), but a later reconciliation
-                // may move an older stamp than a previous one recorded —
-                // keep the vec sorted by epoch for deterministic folds.
-                let stamp = Stamp {
-                    epoch: cell.stamps[idx].epoch,
-                    count: sign * take as i64,
-                };
-                match entry.iter().rposition(|s| s.epoch <= stamp.epoch) {
-                    Some(p) if entry[p].epoch == stamp.epoch => entry[p].count += stamp.count,
-                    Some(p)
-                        if live_snapshots
-                            .range(entry[p].epoch..stamp.epoch)
-                            .next()
-                            .is_none() =>
-                    {
-                        // No live snapshot separates the entries: merge
-                        // (an entry at `t` affects epochs `< t`, and no
-                        // askable epoch falls between the two).
-                        entry[p].count += stamp.count;
-                        entry[p].epoch = stamp.epoch;
+            let (mut pending, mut tombstoned) = (0, 0);
+            for row in rows.iter_mut() {
+                if row.died == ALIVE && doomed(row) {
+                    row.died = died;
+                    if row.in_main {
+                        tombstoned += 1;
+                    } else {
+                        pending += 1;
                     }
-                    Some(p) => entry.insert(p + 1, stamp),
-                    None => entry.insert(0, stamp),
-                }
-                entry.retain(|s| s.count != 0);
-                if entry.is_empty() {
-                    compensation.remove(&value);
                 }
             }
-            if cell.stamps[idx].count == 0 {
-                cell.stamps.remove(idx);
-            } else {
-                idx += 1;
+            (pending, tombstoned)
+        });
+        self.pending_inserts -= pending;
+        self.tombstoned_rows += tombstoned;
+        (pending, tombstoned)
+    }
+
+    /// The one read: visits every row of `[low, high)` a read at `at` (the
+    /// current epoch for a live read) must hide or add.
+    fn read(&self, low: i64, high: i64, at: Option<u64>, mut visit: impl FnMut(i64, &Row)) {
+        let epoch = at.unwrap_or(self.readers.epoch);
+        for (&value, rows) in self.rows.range(low..high) {
+            for row in rows.iter().filter(|row| row.differs(epoch)) {
+                visit(value, row);
             }
         }
-        debug_assert_eq!(mass, 0, "stamp mass covers every reconciled row");
     }
 }
 
@@ -449,22 +236,18 @@ pub struct DrainedDelta {
     pub inserts: Vec<(i64, RowId)>,
     /// Row ids of the tombstoned main-array rows to drop.
     pub doomed: HashSet<RowId>,
-    /// Total pending inserted rows (== `inserts.len()`).
-    pub pending_inserts: u64,
-    /// Total tombstoned rows (== `doomed.len()`).
-    pub tombstoned_rows: u64,
 }
 
 impl DrainedDelta {
     /// True when the drained delta held no pending work at all.
     pub fn is_empty(&self) -> bool {
-        self.pending_inserts == 0 && self.tombstoned_rows == 0
+        self.inserts.is_empty() && self.doomed.is_empty()
     }
 }
 
 /// Latch-protected pending inserts and tombstones for one shared index,
-/// epoch-stamped so snapshot readers can reconstruct earlier states and
-/// rowid-stamped so physical reorganisation never loses tuple identity.
+/// epoch-windowed so snapshot readers can reconstruct earlier states and
+/// keyed by row id so physical reorganisation never loses tuple identity.
 #[derive(Debug, Default)]
 pub struct PendingDelta {
     state: Mutex<DeltaState>,
@@ -509,29 +292,30 @@ impl PendingDelta {
     /// The epoch of the most recent stamped write (the epoch a snapshot
     /// registered *now* would read at).
     pub fn current_epoch(&self) -> u64 {
-        self.lock_state().epoch
+        self.lock_state().readers.epoch
     }
 
     /// Registers a snapshot at the current epoch and returns that epoch.
-    /// While registered, reconciliations keep enough history for
-    /// [`PendingDelta::adjust`] at the epoch to stay answerable; every
+    /// While registered, the keep rule retains every row a read at the
+    /// epoch needs, so [`PendingDelta::adjust`] and
+    /// [`PendingDelta::pair_view`] at it stay answerable; every
     /// registration must be paired with a
     /// [`PendingDelta::release_snapshot`].
     pub fn register_snapshot(&self) -> u64 {
         let mut state = self.lock_state();
-        let epoch = state.epoch;
-        *state.live_snapshots.entry(epoch).or_insert(0) += 1;
+        let epoch = state.readers.epoch;
+        *state.readers.snapshots.entry(epoch).or_insert(0) += 1;
         epoch
     }
 
-    /// Releases one snapshot registration at `epoch` and garbage-collects
-    /// whatever history no remaining snapshot can observe.
+    /// Releases one snapshot registration at `epoch` and drops every row
+    /// no remaining reader needs.
     pub fn release_snapshot(&self, epoch: u64) {
         let mut state = self.lock_state();
-        match state.live_snapshots.get_mut(&epoch) {
+        match state.readers.snapshots.get_mut(&epoch) {
             Some(n) if *n > 1 => *n -= 1,
             Some(_) => {
-                state.live_snapshots.remove(&epoch);
+                state.readers.snapshots.remove(&epoch);
             }
             None => debug_assert!(false, "released an unregistered snapshot epoch"),
         }
@@ -540,31 +324,22 @@ impl PendingDelta {
 
     /// Number of live snapshot registrations (diagnostics/tests).
     pub fn live_snapshots(&self) -> usize {
-        self.lock_state().live_snapshots.values().sum()
+        self.lock_state().readers.snapshots.values().sum()
     }
 
-    /// Total retained history entries — count stamps, compensation
-    /// entries, dead pending rows, ghosts, and placed rows (alive pending
-    /// rows and live tombstones are real state, not history). With the
-    /// snapshot-bounded compression this stays O(values × live snapshots)
+    /// Retained history: rows only a live snapshot needs (pending inserts
+    /// and tombstones are real state, not history). Stays O(rows changed
+    /// since the oldest live snapshot that some snapshot can tell apart),
     /// no matter how hot a key churns under a pinned snapshot.
     pub fn history_len(&self) -> usize {
         let state = self.lock_state();
-        let stamps: usize = state
-            .inserts
+        let epoch = state.readers.epoch;
+        state
+            .rows
             .values()
-            .chain(state.tombstones.values())
-            .map(|c| c.stamps.len())
-            .sum();
-        let comp: usize = state.compensation.values().map(Vec::len).sum();
-        let dead: usize = state
-            .pending_rows
-            .values()
-            .map(|rows| rows.iter().filter(|r| r.died != ALIVE).count())
-            .sum();
-        let ghosts: usize = state.ghost_rows.values().map(Vec::len).sum();
-        let placed: usize = state.placed_rows.values().map(Vec::len).sum();
-        stamps + comp + dead + ghosts + placed
+            .flatten()
+            .filter(|row| !row.differs(epoch))
+            .count()
     }
 
     /// Records one pending inserted row `(value, rowid)`, returning the
@@ -573,26 +348,14 @@ impl PendingDelta {
     /// second lock acquisition.
     pub fn insert_row(&self, value: i64, rowid: RowId) -> u64 {
         let mut state = self.lock_state();
-        state.epoch += 1;
-        let epoch = state.epoch;
-        let snapshots_live = state.snapshots_live();
-        let live = std::mem::take(&mut state.live_snapshots);
-        let cell = state.inserts.entry(value).or_default();
-        cell.net += 1;
-        cell.push(Stamp { epoch, count: 1 }, &live);
-        if !snapshots_live {
-            cell.collapse(epoch);
-        }
-        state.live_snapshots = live;
-        state
-            .pending_rows
-            .entry(value)
-            .or_default()
-            .push(PendingRow {
-                rowid,
-                born: epoch,
-                died: ALIVE,
-            });
+        state.readers.epoch += 1;
+        let born = state.readers.epoch;
+        state.rows.entry(value).or_default().push(Row {
+            rowid,
+            born,
+            died: ALIVE,
+            in_main: false,
+        });
         state.pending_inserts += 1;
         state.pending_inserts + state.tombstoned_rows
     }
@@ -627,31 +390,18 @@ impl PendingDelta {
         if !validate() {
             return None;
         }
-        state.epoch += 1;
-        let epoch = state.epoch;
-        let from_pending = Self::kill_pending_locked(&mut state, value, None, epoch);
-
-        // Tombstone exactly the main rows not already tombstoned.
-        let already: HashSet<RowId> = state
-            .tomb_rows
-            .get(&value)
-            .map(|rows| rows.iter().map(|t| t.rowid).collect())
-            .unwrap_or_default();
-        let fresh: Vec<RowId> = main_rowids
-            .iter()
-            .copied()
-            .filter(|r| !already.contains(r))
-            .collect();
-        let newly = fresh.len() as u64;
-        Self::raise_tombstones_locked(&mut state, value, &fresh, epoch);
+        let listed: HashSet<RowId> = main_rowids.iter().copied().collect();
+        let removed = state.delete(value, main_rowids, |row| {
+            !row.in_main || listed.contains(&row.rowid)
+        });
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
-        Some((from_pending, newly))
+        Some(removed)
     }
 
     /// Deletes one specific row `(value, rowid)`: if `in_main` the row is
     /// tombstoned (unless already), otherwise the matching alive pending
-    /// row is negated. Returns how many rows were removed (0 or 1), or
+    /// row is killed. Returns how many rows were removed (0 or 1), or
     /// `None` if `validate` failed under the delta lock. This is the
     /// positional delete a table engine issues against every non-driving
     /// column of a doomed tuple.
@@ -666,203 +416,36 @@ impl PendingDelta {
         if !validate() {
             return None;
         }
-        state.epoch += 1;
-        let epoch = state.epoch;
-        let removed = if in_main {
-            let already = state
-                .tomb_rows
-                .get(&value)
-                .is_some_and(|rows| rows.iter().any(|t| t.rowid == rowid));
-            if already {
-                0
-            } else {
-                Self::raise_tombstones_locked(&mut state, value, &[rowid], epoch);
-                1
-            }
-        } else {
-            Self::kill_pending_locked(&mut state, value, Some(rowid), epoch)
-        };
+        let main: &[RowId] = if in_main { &[rowid] } else { &[] };
+        let (pending, tombstoned) = state.delete(value, main, |row| {
+            row.rowid == rowid && row.in_main == in_main
+        });
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
-        Some(removed)
-    }
-
-    /// Negates alive pending rows of `value` at `epoch`: all of them, or
-    /// just the one with `rowid`. Returns how many died.
-    fn kill_pending_locked(
-        state: &mut DeltaState,
-        value: i64,
-        rowid: Option<RowId>,
-        epoch: u64,
-    ) -> u64 {
-        let snapshots_live = state.snapshots_live();
-        let live = std::mem::take(&mut state.live_snapshots);
-        let mut killed = 0u64;
-        if let Some(rows) = state.pending_rows.get_mut(&value) {
-            for row in rows.iter_mut() {
-                if row.died == ALIVE && rowid.is_none_or(|r| r == row.rowid) {
-                    row.died = epoch;
-                    killed += 1;
-                }
-            }
-            rows.retain(|r| r.died == ALIVE || live.range(r.born..r.died).next().is_some());
-            if rows.is_empty() {
-                state.pending_rows.remove(&value);
-            }
-        }
-        if killed > 0 {
-            let cell = state
-                .inserts
-                .get_mut(&value)
-                .expect("alive pending rows imply an insert cell");
-            cell.net -= killed;
-            cell.push(
-                Stamp {
-                    epoch,
-                    count: -(killed as i64),
-                },
-                &live,
-            );
-            if !snapshots_live {
-                cell.collapse(epoch);
-            }
-            if cell.net == 0 && cell.stamps.is_empty() {
-                state.inserts.remove(&value);
-            }
-            state.pending_inserts -= killed;
-        }
-        state.live_snapshots = live;
-        killed
-    }
-
-    /// Raises tombstones for `fresh` (not-yet-tombstoned) main rows of
-    /// `value` at `epoch`, updating the count cell and the row ledger.
-    fn raise_tombstones_locked(state: &mut DeltaState, value: i64, fresh: &[RowId], epoch: u64) {
-        let snapshots_live = state.snapshots_live();
-        if fresh.is_empty() {
-            // Keep the "remove empty husk" behaviour of the old path.
-            if state
-                .tombstones
-                .get(&value)
-                .is_some_and(|cell| cell.net == 0 && cell.stamps.is_empty())
-            {
-                state.tombstones.remove(&value);
-            }
-            return;
-        }
-        let live = std::mem::take(&mut state.live_snapshots);
-        let cell = state.tombstones.entry(value).or_default();
-        cell.net += fresh.len() as u64;
-        cell.push(
-            Stamp {
-                epoch,
-                count: fresh.len() as i64,
-            },
-            &live,
-        );
-        if !snapshots_live {
-            cell.collapse(epoch);
-        }
-        state.live_snapshots = live;
-        let rows = state.tomb_rows.entry(value).or_default();
-        rows.extend(fresh.iter().map(|&rowid| TombRow { rowid, epoch }));
-        state.tombstoned_rows += fresh.len() as u64;
+        Some(pending + tombstoned)
     }
 
     /// Takes the delta's entire *current* contents in one atomic step,
-    /// leaving it logically empty. Compaction calls this while holding the
-    /// index's quiesce gate, folds the result into the rebuilt main array,
-    /// and any insert that lands after the drain simply waits for the next
-    /// compaction. If snapshots are live, every drained stamp moves into
-    /// the compensation ledger (inserts negated, tombstones positive) and
-    /// every drained row into the placed/ghost row ledgers, so pre-drain
-    /// snapshots stay answerable against the rebuilt array.
+    /// leaving it logically empty: every pending row moves into the main
+    /// array and every tombstoned row out of it. Compaction calls this
+    /// while holding the index's quiesce gate, folds the result into the
+    /// rebuilt main array, and any insert that lands after the drain
+    /// simply waits for the next compaction. Live snapshots keep the rows
+    /// they still need, so pre-drain snapshots stay answerable against the
+    /// rebuilt array.
     pub fn drain(&self) -> DrainedDelta {
-        let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let inserts = std::mem::take(&mut state.inserts);
-        let tombstones = std::mem::take(&mut state.tombstones);
-        let pending_rows = std::mem::take(&mut state.pending_rows);
-        let tomb_rows = std::mem::take(&mut state.tomb_rows);
-        let mut drained = DrainedDelta {
-            pending_inserts: state.pending_inserts,
-            tombstoned_rows: state.tombstoned_rows,
-            ..DrainedDelta::default()
-        };
-        for (value, mut cell) in inserts {
-            if record {
-                let net = cell.net;
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    net,
-                    -1,
-                    true,
-                );
-                // Residual stamp history (negated pending rows a delete
-                // already consumed) still matters to old snapshots: move
-                // it wholesale, negated.
-                let entry = state.compensation.entry(value).or_default();
-                for stamp in cell.stamps {
-                    if stamp.count != 0 {
-                        entry.push(Stamp {
-                            epoch: stamp.epoch,
-                            count: -stamp.count,
-                        });
-                    }
-                }
-                entry.sort_by_key(|s| s.epoch);
-                if entry.is_empty() {
-                    state.compensation.remove(&value);
-                }
-                state.live_snapshots = live;
-            }
-        }
-        for (value, rows) in pending_rows {
-            for row in rows {
-                if row.died == ALIVE {
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        let epoch = state.readers.epoch;
+        let mut drained = DrainedDelta::default();
+        for (&value, rows) in &mut state.rows {
+            for row in rows.iter_mut().filter(|row| row.differs(epoch)) {
+                if row.in_main {
+                    drained.doomed.insert(row.rowid);
+                } else {
                     drained.inserts.push((value, row.rowid));
-                    if record && state.placed_relevant(row.born) {
-                        state.placed_rows.entry(value).or_default().push(PlacedRow {
-                            rowid: row.rowid,
-                            born: row.born,
-                        });
-                    }
                 }
-                // Dead pending rows never reach main, but a snapshot whose
-                // epoch falls inside their visibility window must still
-                // see them in rowid reads: keep them as ghosts.
-                else if record {
-                    state.add_ghost(value, row.rowid, row.born, row.died);
-                }
-            }
-        }
-        for (value, mut cell) in tombstones {
-            if record {
-                let net = cell.net;
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    net,
-                    1,
-                    true,
-                );
-                state.live_snapshots = live;
-            }
-        }
-        for (value, rows) in tomb_rows {
-            for row in rows {
-                drained.doomed.insert(row.rowid);
-                if record {
-                    let born = state.take_placed(value, row.rowid);
-                    state.add_ghost(value, row.rowid, born, row.epoch);
-                }
+                row.in_main = !row.in_main;
             }
         }
         state.pending_inserts = 0;
@@ -884,75 +467,46 @@ impl PendingDelta {
         high: Option<i64>,
     ) -> BTreeMap<i64, Vec<RowId>> {
         let state = self.lock_state();
-        range_iter(&state.tomb_rows, low, high)
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(&v, rows)| (v, rows.iter().map(|t| t.rowid).collect()))
+        let epoch = state.readers.epoch;
+        state
+            .rows
+            .range(piece_range(low, high))
+            .map(|(&value, rows)| {
+                let doomed = rows.iter().filter(|row| row.in_main && row.differs(epoch));
+                (value, doomed.map(|row| row.rowid).collect::<Vec<_>>())
+            })
+            .filter(|(_, doomed)| !doomed.is_empty())
             .collect()
     }
 
     /// Retires tombstones whose rows were physically removed from the
-    /// main array: every `(value, rowid)` pair in `removed` drops out of
-    /// the tombstone row ledger and its count stamp moves into the
-    /// compensation ledger (positively) while snapshots are live, with a
-    /// matching ghost row so a snapshot that predates the delete still
-    /// *sees* the physically removed row. Returns the number of rows
-    /// retired.
+    /// main array: every tombstoned `(value, rowid)` pair in `removed`
+    /// leaves the main array. Live snapshots that predate the delete keep
+    /// the row (now off main) and still *see* it. Returns the number of
+    /// rows retired.
     pub fn retire_tombstones(&self, removed: &[(i64, RowId)]) -> u64 {
-        let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let mut retired = 0u64;
-        // Group per value so each value's row vector is drained in one
-        // pass: a sweep that reclaims k duplicates of one hot key costs
-        // O(k), not O(k²) under the delta lock.
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        let epoch = state.readers.epoch;
+        // Group per value so each value's rows are walked once: a sweep
+        // that reclaims k duplicates of one hot key costs O(k), not O(k²)
+        // under the delta lock.
         let mut by_value: BTreeMap<i64, HashSet<RowId>> = BTreeMap::new();
         for &(value, rowid) in removed {
             by_value.entry(value).or_default().insert(rowid);
         }
+        let mut retired = 0u64;
         for (value, ids) in by_value {
-            let Some(mut rows) = state.tomb_rows.remove(&value) else {
-                continue;
-            };
-            let mut kept = Vec::with_capacity(rows.len());
-            let mut hit = Vec::new();
-            for row in rows.drain(..) {
-                if ids.contains(&row.rowid) {
-                    hit.push(row);
-                } else {
-                    kept.push(row);
+            retired += state.update(value, |rows| {
+                let mut hit = 0;
+                for row in rows.iter_mut() {
+                    if row.in_main && row.differs(epoch) && ids.contains(&row.rowid) {
+                        row.in_main = false;
+                        hit += 1;
+                    }
                 }
-            }
-            if !kept.is_empty() {
-                state.tomb_rows.insert(value, kept);
-            }
-            if hit.is_empty() {
-                continue;
-            }
-            let Some(mut cell) = state.tombstones.remove(&value) else {
-                debug_assert!(false, "tomb rows without a count cell");
-                continue;
-            };
-            let live = std::mem::take(&mut state.live_snapshots);
-            DeltaState::reconcile_mass(
-                &mut state.compensation,
-                &live,
-                &mut cell,
-                value,
-                hit.len() as u64,
-                1,
-                record,
-            );
-            state.live_snapshots = live;
-            cell.net -= hit.len() as u64;
-            retired += hit.len() as u64;
-            if cell.net > 0 || (record && !cell.stamps.is_empty()) {
-                state.tombstones.insert(value, cell);
-            }
-            if record {
-                for row in hit {
-                    let born = state.take_placed(value, row.rowid);
-                    state.add_ghost(value, row.rowid, born, row.epoch);
-                }
-            }
+                hit
+            });
         }
         state.tombstoned_rows -= retired;
         self.tombstoned_hint
@@ -962,13 +516,11 @@ impl PendingDelta {
 
     /// Takes up to `max_rows` currently-pending inserted rows whose values
     /// fall in the piece key interval `[low, high)` (bounds as in
-    /// [`PendingDelta::tombstone_rows_in`]) out of the delta, for physical
-    /// placement into that piece's holes by incremental compaction.
-    /// Returns the taken `(value, rowid)` pairs. The taken stamps move
-    /// into the compensation ledger negated — and the rows into the
-    /// placed ledger — while snapshots are live, so a snapshot that
-    /// predates an insert does not double-count its row once it sits in
-    /// the main array.
+    /// [`PendingDelta::tombstone_rows_in`]) into the main array, for
+    /// physical placement into that piece's holes by incremental
+    /// compaction. Returns the taken `(value, rowid)` pairs. Live snapshots
+    /// that predate an insert keep its row (now in main) and go on hiding
+    /// it.
     pub fn take_inserts_in(
         &self,
         low: Option<i64>,
@@ -978,64 +530,30 @@ impl PendingDelta {
         if max_rows == 0 {
             return Vec::new();
         }
-        let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let mut budget = max_rows;
-        let mut taken = Vec::new();
-        let candidates: Vec<i64> = range_iter(&state.pending_rows, low, high)
-            .filter(|(_, rows)| rows.iter().any(|r| r.died == ALIVE))
-            .map(|(&v, _)| v)
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        let epoch = state.readers.epoch;
+        let pending = |row: &Row| !row.in_main && row.differs(epoch);
+        let values: Vec<i64> = state
+            .rows
+            .range(piece_range(low, high))
+            .filter(|(_, rows)| rows.iter().any(pending))
+            .map(|(&value, _)| value)
             .collect();
-        for value in candidates {
+        let mut taken = Vec::new();
+        for value in values {
+            let budget = max_rows as usize - taken.len();
             if budget == 0 {
                 break;
             }
-            let Some(mut rows) = state.pending_rows.remove(&value) else {
-                continue;
-            };
-            let mut moved = 0u64;
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows.drain(..) {
-                if row.died == ALIVE && moved < budget {
-                    moved += 1;
+            state.update(value, |rows| {
+                for row in rows.iter_mut().filter(|row| pending(row)).take(budget) {
+                    row.in_main = true;
                     taken.push((value, row.rowid));
-                    if record && state.placed_relevant(row.born) {
-                        state.placed_rows.entry(value).or_default().push(PlacedRow {
-                            rowid: row.rowid,
-                            born: row.born,
-                        });
-                    }
-                } else {
-                    kept.push(row);
                 }
-            }
-            if !kept.is_empty() {
-                state.pending_rows.insert(value, kept);
-            }
-            if moved > 0 {
-                let Some(mut cell) = state.inserts.remove(&value) else {
-                    debug_assert!(false, "alive pending rows without a count cell");
-                    continue;
-                };
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    moved,
-                    -1,
-                    record,
-                );
-                state.live_snapshots = live;
-                cell.net -= moved;
-                budget -= moved;
-                state.pending_inserts -= moved;
-                if cell.net > 0 || (record && !cell.stamps.is_empty()) {
-                    state.inserts.insert(value, cell);
-                }
-            }
+            });
         }
+        state.pending_inserts -= taken.len() as u64;
         taken
     }
 
@@ -1054,18 +572,16 @@ impl PendingDelta {
     /// `O(pieces)` probes against the unbounded piece count.
     pub fn value_counts(&self) -> Vec<(i64, u64)> {
         let state = self.lock_state();
-        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-        for (&v, cell) in &state.inserts {
-            if cell.net > 0 {
-                *counts.entry(v).or_insert(0) += cell.net;
-            }
-        }
-        for (&v, cell) in &state.tombstones {
-            if cell.net > 0 {
-                *counts.entry(v).or_insert(0) += cell.net;
-            }
-        }
-        counts.into_iter().collect()
+        let epoch = state.readers.epoch;
+        state
+            .rows
+            .iter()
+            .map(|(&value, rows)| {
+                let current = rows.iter().filter(|row| row.differs(epoch)).count();
+                (value, current as u64)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Current delta rows (pending inserts plus tombstones) whose values
@@ -1075,117 +591,53 @@ impl PendingDelta {
     /// advancing its watermark.
     pub fn rows_in(&self, low: Option<i64>, high: Option<i64>) -> u64 {
         let state = self.lock_state();
-        let pending: u64 = range_iter(&state.inserts, low, high)
-            .map(|(_, cell)| cell.net)
-            .sum();
-        let tombstoned: u64 = range_iter(&state.tombstones, low, high)
-            .map(|(_, cell)| cell.net)
-            .sum();
-        pending + tombstoned
+        let epoch = state.readers.epoch;
+        state
+            .rows
+            .range(piece_range(low, high))
+            .flat_map(|(_, rows)| rows)
+            .filter(|row| row.differs(epoch))
+            .count() as u64
     }
 
     /// One consistent snapshot of the delta's contribution to a count or
     /// sum over `[low, high)` — current, or *as of* snapshot epoch `at`
-    /// (which must be registered). A current read folds the net counters.
-    /// A snapshot read hides stamps newer than the epoch and folds back
-    /// compensation-ledger entries newer than it (restoring rows the
-    /// physical array has since reconciled); its per-value net is signed,
-    /// positive nets landing on the insert side of the returned
-    /// [`DeltaAdjust`] and negative nets on the tombstone side, so callers
-    /// combine both kinds alike.
+    /// (which must be registered): hidden main rows on the tombstone side
+    /// of the returned [`DeltaAdjust`], added off-main rows on the insert
+    /// side, so callers combine both kinds alike.
     pub fn adjust(&self, low: i64, high: i64, at: Option<u64>) -> DeltaAdjust {
         let mut adjust = DeltaAdjust::default();
         if low >= high {
             return adjust;
         }
-        let state = self.lock_state();
-        let Some(epoch) = at else {
-            for (&v, cell) in state.inserts.range(low..high) {
-                adjust.insert_count += cell.net;
-                adjust.insert_sum += v as i128 * cell.net as i128;
-            }
-            for (&v, cell) in state.tombstones.range(low..high) {
-                adjust.tombstone_count += cell.net;
-                adjust.tombstone_sum += v as i128 * cell.net as i128;
-            }
-            return adjust;
-        };
-        let mut per_value: BTreeMap<i64, i128> = BTreeMap::new();
-        for (&v, cell) in state.inserts.range(low..high) {
-            *per_value.entry(v).or_insert(0) += cell.prefix(epoch);
-        }
-        for (&v, cell) in state.tombstones.range(low..high) {
-            *per_value.entry(v).or_insert(0) -= cell.prefix(epoch);
-        }
-        for (&v, stamps) in state.compensation.range(low..high) {
-            let late: i128 = stamps
-                .iter()
-                .filter(|s| s.epoch > epoch)
-                .map(|s| s.count as i128)
-                .sum();
-            *per_value.entry(v).or_insert(0) += late;
-        }
-        for (v, net) in per_value {
-            if net >= 0 {
-                adjust.insert_count += net as u64;
-                adjust.insert_sum += v as i128 * net;
+        self.lock_state().read(low, high, at, |value, row| {
+            if row.in_main {
+                adjust.tombstone_count += 1;
+                adjust.tombstone_sum += value as i128;
             } else {
-                adjust.tombstone_count += (-net) as u64;
-                adjust.tombstone_sum += v as i128 * -net;
+                adjust.insert_count += 1;
+                adjust.insert_sum += value as i128;
             }
-        }
+        });
         adjust
     }
 
     /// The delta's contribution to a row read over `[low, high)` — current,
     /// or *as of* snapshot epoch `at` (which must be registered) — in one
     /// consistent snapshot under a single lock acquisition: main rows to
-    /// hide and `(key, rowid)` rows to add. A current read hides every
-    /// tombstoned main row and adds every alive pending row. A snapshot
-    /// read hides main rows tombstoned at or before the epoch or placed
-    /// after it, and adds pending rows alive at the epoch and ghost rows
-    /// whose visibility window contains it.
+    /// hide and `(key, rowid)` rows to add.
     pub fn pair_view(&self, low: i64, high: i64, at: Option<u64>) -> PairView {
         let mut view = PairView::default();
         if low >= high {
             return view;
         }
-        let state = self.lock_state();
-        let Some(epoch) = at else {
-            for (_, rows) in state.tomb_rows.range(low..high) {
-                view.hidden.extend(rows.iter().map(|t| t.rowid));
+        self.lock_state().read(low, high, at, |value, row| {
+            if row.in_main {
+                view.hidden.insert(row.rowid);
+            } else {
+                view.extra.push((value, row.rowid));
             }
-            for (&value, rows) in state.pending_rows.range(low..high) {
-                view.extra.extend(
-                    rows.iter()
-                        .filter(|r| r.died == ALIVE)
-                        .map(|r| (value, r.rowid)),
-                );
-            }
-            return view;
-        };
-        for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|t| t.epoch <= epoch).map(|t| t.rowid));
-        }
-        for (_, rows) in state.placed_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|p| p.born > epoch).map(|p| p.rowid));
-        }
-        for (&value, rows) in state.pending_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|r| r.born <= epoch && epoch < r.died)
-                    .map(|r| (value, r.rowid)),
-            );
-        }
-        for (&value, rows) in state.ghost_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|g| g.born <= epoch && epoch < g.died)
-                    .map(|g| (value, g.rowid)),
-            );
-        }
+        });
         view
     }
 
@@ -1213,55 +665,34 @@ impl PendingDelta {
         self.counters() == (0, 0)
     }
 
-    /// Debug-only consistency check: count cells and the row ledger agree
-    /// (alive pending rows == insert nets, tomb rows == tombstone nets).
-    /// Only meaningful in quiescence.
+    /// Ledger self-check, valid at any time (it runs under the delta
+    /// lock): the counters equal the ledger's pending and tombstoned rows,
+    /// no row id has two rows, and the lock-free tombstone hint mirrors
+    /// the tombstone counter.
     pub fn check_ledger_invariants(&self) -> bool {
         let state = self.lock_state();
-        let alive: u64 = state
-            .pending_rows
-            .values()
-            .map(|rows| rows.iter().filter(|r| r.died == ALIVE).count() as u64)
-            .sum();
-        if alive != state.pending_inserts {
-            return false;
-        }
-        let tombs: u64 = state.tomb_rows.values().map(|rows| rows.len() as u64).sum();
-        if tombs != state.tombstoned_rows {
-            return false;
-        }
-        for (v, cell) in &state.inserts {
-            let rows = state
-                .pending_rows
-                .get(v)
-                .map(|rows| rows.iter().filter(|r| r.died == ALIVE).count() as u64)
-                .unwrap_or(0);
-            if rows != cell.net {
+        let epoch = state.readers.epoch;
+        let mut seen = HashSet::new();
+        let mut current = [0u64; 2];
+        for row in state.rows.values().flatten() {
+            if !seen.insert(row.rowid) {
                 return false;
             }
-        }
-        for (v, cell) in &state.tombstones {
-            let rows = state.tomb_rows.get(v).map(|r| r.len() as u64).unwrap_or(0);
-            if rows != cell.net {
-                return false;
+            if row.differs(epoch) {
+                current[row.in_main as usize] += 1;
             }
         }
-        true
+        current == [state.pending_inserts, state.tombstoned_rows]
+            && self.tombstoned_hint.load(Ordering::Acquire) == state.tombstoned_rows
     }
 }
 
-/// Range iterator over a per-value map with optional piece bounds.
-fn range_iter<'a, T>(
-    map: &'a BTreeMap<i64, T>,
-    low: Option<i64>,
-    high: Option<i64>,
-) -> Box<dyn Iterator<Item = (&'a i64, &'a T)> + 'a> {
-    match (low, high) {
-        (None, None) => Box::new(map.range(..)),
-        (Some(lo), None) => Box::new(map.range(lo..)),
-        (None, Some(hi)) => Box::new(map.range(..hi)),
-        (Some(lo), Some(hi)) => Box::new(map.range(lo..hi)),
-    }
+/// A piece key interval `[low, high)` (`None` = unbounded) as a map range.
+fn piece_range(low: Option<i64>, high: Option<i64>) -> (Bound<i64>, Bound<i64>) {
+    (
+        low.map_or(Bound::Unbounded, Bound::Included),
+        high.map_or(Bound::Unbounded, Bound::Excluded),
+    )
 }
 
 #[cfg(test)]
@@ -1404,8 +835,8 @@ mod tests {
         delta.apply_delete(5, &[7, 8]);
         let drained = delta.drain();
         assert!(!drained.is_empty());
-        assert_eq!(drained.pending_inserts, 3);
-        assert_eq!(drained.tombstoned_rows, 2);
+        assert_eq!(drained.inserts.len(), 3);
+        assert_eq!(drained.doomed.len(), 2);
         assert_eq!(drained.inserts, vec![(1, 20), (1, 21), (9, 22)]);
         assert_eq!(drained.doomed, HashSet::from([7, 8]));
         assert!(delta.is_empty(), "the delta is empty after a drain");
@@ -1470,7 +901,7 @@ mod tests {
         assert!(delta.check_ledger_invariants());
     }
 
-    // ----- epochs, snapshots, and the compensation ledger ------------------
+    // ----- epochs, snapshots, and the keep rule -----------------------------
 
     #[test]
     fn epochs_advance_with_every_write() {
@@ -1602,8 +1033,8 @@ mod tests {
         delta.apply_delete(7, &[9]);
         // Full compaction drains everything into the main array.
         let drained = delta.drain();
-        assert_eq!(drained.pending_inserts, 2);
-        assert_eq!(drained.tombstoned_rows, 1);
+        assert_eq!(drained.inserts.len(), 2);
+        assert_eq!(drained.doomed.len(), 1);
         assert!(delta.is_empty());
         // After the rebuild, main holds both 5s and no 7. The snapshot
         // (epoch between the two inserts, before the delete) must net:
@@ -1629,13 +1060,8 @@ mod tests {
         for i in 0..100 {
             ins(&delta, 5, i);
         }
-        {
-            let state = delta.state.lock();
-            let cell = state.inserts.get(&5).unwrap();
-            assert_eq!(cell.net, 100);
-            assert_eq!(cell.stamps.len(), 1, "no snapshots: one stamp suffices");
-            assert!(state.compensation.is_empty());
-        }
+        assert_eq!(delta.pending_inserts(), 100);
+        assert_eq!(delta.history_len(), 0, "no snapshots: no history");
         // With a snapshot live, history stays answerable; releasing GCs.
         let epoch = delta.register_snapshot();
         for i in 100..110 {
@@ -1643,7 +1069,7 @@ mod tests {
         }
         assert_eq!(delta.adjust(0, 10, Some(epoch)).insert_count, 100);
         delta.release_snapshot(epoch);
-        assert_eq!(delta.state.lock().inserts.get(&5).unwrap().stamps.len(), 1);
+        assert_eq!(delta.history_len(), 0);
     }
 
     #[test]
@@ -1678,15 +1104,14 @@ mod tests {
         assert_eq!(delta.live_snapshots(), 0);
     }
 
-    // ----- snapshot-bounded ledger compression -----------------------------
+    // ----- the keep rule bounds the ledger ----------------------------------
 
     #[test]
     fn hot_key_churn_under_a_live_snapshot_keeps_history_bounded() {
         // A long-lived snapshot pins epoch e; a hot key then churns
-        // (insert + delete) thousands of times. Every post-snapshot stamp
-        // pair falls in the same inter-snapshot gap and merges on arrival,
-        // and every dead pending row's visibility window misses e — so
-        // the retained history must stay O(1), not O(writes).
+        // (insert + delete) thousands of times. Every post-snapshot row's
+        // visibility window misses e, so the keep rule drops it as soon as
+        // it dies — the retained history must stay O(1), not O(writes).
         let delta = PendingDelta::new();
         ins(&delta, 42, 0);
         let epoch = delta.register_snapshot();
@@ -1711,12 +1136,9 @@ mod tests {
     #[test]
     fn churn_with_retirement_keeps_the_compensation_ledger_bounded() {
         // Physical-reconciliation pressure: tombstone + retire in a loop
-        // while a snapshot is pinned. Every retirement lands a
-        // compensation stamp, and all of them fall in the same
-        // inter-snapshot gap — they must merge into O(1) count entries.
-        // The per-row ghosts are *real* state here (the pinned snapshot
-        // must still see each removed row in rowid reads), so exactly
-        // one ghost per removed row may remain — and nothing more.
+        // while a snapshot is pinned. The removed rows are *real* state
+        // here (the pinned snapshot must still see each one), so exactly
+        // one off-main row per removed row may remain — and nothing more.
         let delta = PendingDelta::new();
         let epoch = delta.register_snapshot();
         for i in 0..1000u32 {
@@ -1726,11 +1148,11 @@ mod tests {
         let history = delta.history_len();
         assert!(
             history <= 1000 + 4,
-            "count-side ledger must merge to O(1) entries, got {history}"
+            "one row per removed row, got {history}"
         );
         // The snapshot predates every delete: the removed rows were main
-        // rows at its epoch, so the count compensation restores all 1000
-        // and the ghosts restore their rowids.
+        // rows at its epoch, so the off-main rows restore all 1000 to the
+        // count and to the rowid read.
         assert_eq!(delta.adjust(0, 100, Some(epoch)).insert_count, 1000);
         assert_eq!(rowid_view(&delta, 0, 100, Some(epoch)).extra.len(), 1000);
         delta.release_snapshot(epoch);

@@ -192,17 +192,24 @@ proptest! {
     #[test]
     fn pinned_snapshots_match_the_oracle_for_both_parallel_arms(
         values in prop::collection::vec(-150i64..150, 0..120),
-        pre_ops in prop::collection::vec((0u8..2, -200i64..200), 0..15),
-        post_ops in prop::collection::vec((0u8..2, -200i64..200), 3..30),
+        pre_ops in prop::collection::vec((0u8..3, -200i64..200), 0..15),
+        post_ops in prop::collection::vec((0u8..3, -200i64..200), 3..30),
         queries in prop::collection::vec((-250i64..250, -250i64..250), 1..6),
         workers in 1usize..4,
+        incremental in any::<bool>(),
     ) {
         // Long scans pin a snapshot on every backend — serial, chunked and
-        // range-partitioned — then writes and aggressive incremental
-        // per-worker compaction race past it. Every read shape, live and
+        // range-partitioned — then writes (inserts, value deletes and
+        // positional row deletes) and aggressive per-worker compaction race
+        // past it: incremental steps, or quiescing rebuilds that drain the
+        // whole delta under the pinned snapshot. Every read shape, live and
         // pinned, must equal the `rowid → value` oracle (live, or frozen
         // at snapshot time): one read path, checked on every input.
-        let policy = CompactionPolicy::rows(4).incremental(2);
+        let policy = if incremental {
+            CompactionPolicy::rows(4).incremental(2)
+        } else {
+            CompactionPolicy::rows(4)
+        };
         let serial = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
             .with_compaction(policy);
         let chunked = ChunkedCracker::new(
@@ -216,19 +223,33 @@ proptest! {
         let mut oracle: BTreeMap<RowId, i64> =
             values.iter().enumerate().map(|(i, &v)| (i as RowId, v)).collect();
         let mut next_rowid = values.len() as RowId;
-        let mut apply = |kind: u8, v: i64, oracle: &mut BTreeMap<RowId, i64>| {
-            if kind == 0 {
+        let mut apply = |kind: u8, v: i64, oracle: &mut BTreeMap<RowId, i64>| match kind {
+            0 => {
                 serial.insert_row(v, next_rowid);
                 chunked.insert_row(v, next_rowid);
                 ranged.insert_row(v, next_rowid);
                 oracle.insert(next_rowid, v);
                 next_rowid += 1;
-            } else {
+            }
+            1 => {
                 let expected = oracle.values().filter(|&&x| x == v).count() as u64;
                 oracle.retain(|_, x| *x != v);
                 assert_eq!(serial.delete(v).0, expected, "serial delete {v}");
                 assert_eq!(chunked.delete(v).0, expected, "chunked delete {v}");
                 assert_eq!(ranged.delete(v).0, expected, "ranged delete {v}");
+            }
+            _ => {
+                // A positional delete of one live tuple, picked by `v`;
+                // its key may be shared with other rows, main or pending.
+                if oracle.is_empty() {
+                    return;
+                }
+                let pick = v.unsigned_abs() as usize % oracle.len();
+                let (&rowid, &value) = oracle.iter().nth(pick).unwrap();
+                oracle.remove(&rowid);
+                assert_eq!(serial.delete_row(value, rowid).0, 1, "serial delete_row {rowid}");
+                assert_eq!(chunked.delete_row(value, rowid).0, 1, "chunked delete_row {rowid}");
+                assert_eq!(ranged.delete_row(value, rowid).0, 1, "ranged delete_row {rowid}");
             }
         };
         for &(kind, v) in &pre_ops {
