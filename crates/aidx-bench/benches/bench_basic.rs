@@ -1,8 +1,8 @@
 //! Figure 11 micro-benchmarks: the cost of the first query and of a later
 //! query under each approach (scan, full sort, cracking).
 
-use aidx_core::LatchProtocol;
-use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
+use aidx_core::{ConcurrentCracker, LatchProtocol};
+use aidx_cracking::{ScanBaseline, SortIndex};
 use aidx_storage::generate_unique_shuffled;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -32,8 +32,8 @@ fn bench_first_query(c: &mut Criterion) {
     });
     group.bench_function("crack", |b| {
         b.iter_batched(
-            || CrackerIndex::from_values(values.clone()),
-            |mut idx| idx.count(1000, 1000 + width),
+            || ConcurrentCracker::from_values(values.clone(), LatchProtocol::None),
+            |idx| idx.count(1000, 1000 + width).0,
             BatchSize::LargeInput,
         )
     });
@@ -57,14 +57,14 @@ fn bench_warmed_query(c: &mut Criterion) {
         b.iter(|| idx.count(50_000, 50_000 + width))
     });
     group.bench_function("crack_after_10_queries", |b| {
-        let mut idx = CrackerIndex::from_values(values.clone());
+        let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::None);
         for i in 0..10i64 {
             idx.count(i * 13_000, i * 13_000 + width);
         }
         b.iter(|| idx.count(50_000, 50_000 + width))
     });
     group.bench_function("concurrent_crack_piece_protocol", |b| {
-        let idx = aidx_core::ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
+        let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
         for i in 0..10i64 {
             idx.count(i * 13_000, i * 13_000 + width);
         }

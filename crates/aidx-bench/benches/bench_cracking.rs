@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the cracking primitives: crack-in-two/three on a
 //! large array, AVL table-of-contents operations, and stochastic cracking.
 
-use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex, StochasticCracker};
+use aidx_core::{ConcurrentCracker, LatchProtocol};
+use aidx_cracking::{AvlTree, CrackerArray, StochasticCracker};
 use aidx_storage::generate_unique_shuffled;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -29,8 +30,8 @@ fn bench_crack_primitives(c: &mut Criterion) {
     });
     group.bench_function("crack_select_sequence_64", |b| {
         b.iter_batched(
-            || CrackerIndex::from_values(values.clone()),
-            |mut idx| {
+            || ConcurrentCracker::from_values(values.clone(), LatchProtocol::None),
+            |idx| {
                 for i in 0..64i64 {
                     idx.count(i * 15_000, i * 15_000 + 1000);
                 }

@@ -25,8 +25,8 @@ pub enum CompactionMode {
     #[default]
     Quiesce,
     /// Walk the piece registry one piece write latch at a time, merging
-    /// each piece's epoch-visible pending inserts into its tombstone holes
-    /// and advancing a per-piece `compacted_through` watermark. Readers
+    /// each piece's epoch-visible pending inserts into its tombstone holes,
+    /// densest backlog first. Readers
     /// never block on the walk; the exclusive gate is taken only for the
     /// final fixup (the quiescing rebuild), and only when a whole lap over
     /// the pieces could not bring the delta back under the threshold
@@ -71,9 +71,10 @@ impl CompactionPolicy {
     }
 
     /// Compact whenever the delta reaches `rows` rows. `rows == 0` means
-    /// *disabled*, matching every other threshold knob in the stack
-    /// (`ExperimentConfig::compaction_threshold`,
-    /// `CrackerIndex::with_compaction_threshold`, ...).
+    /// *disabled* (the same policy as [`CompactionPolicy::disabled`]),
+    /// matching every other threshold knob in the stack
+    /// (`ExperimentConfig::compaction_threshold`, the table engine's
+    /// per-column thresholds, ...).
     pub const fn rows(rows: u64) -> Self {
         CompactionPolicy {
             max_delta_rows: if rows == 0 { None } else { Some(rows) },

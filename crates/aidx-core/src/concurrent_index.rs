@@ -63,7 +63,7 @@
 use crate::compaction::{CompactionMode, CompactionPolicy};
 use crate::metrics::QueryMetrics;
 use crate::pending::PendingDelta;
-use crate::piece_registry::{OperationGuard, PieceLatchRegistry};
+use crate::piece_registry::{OperationGuard, PieceLatchRegistry, QuiesceGuard};
 use crate::protocol::{LatchProtocol, RefinementPolicy};
 use crate::read::{ColumnIndex, Count, ReadShape};
 use crate::rowid_set::RowIdSet;
@@ -101,10 +101,6 @@ struct TocState {
     holes: BTreeMap<usize, usize>,
     /// Sum of all hole counts (cheap "are there any holes?" probe).
     total_holes: usize,
-    /// Piece start → delta epoch the incremental compactor has merged
-    /// that piece through. Pieces absent from the map sit at the
-    /// column-wide floor (the epoch of the last full rebuild).
-    compacted_through: BTreeMap<usize, u64>,
 }
 
 impl TocState {
@@ -114,7 +110,6 @@ impl TocState {
             crack_positions: BTreeMap::new(),
             holes: BTreeMap::new(),
             total_holes: 0,
-            compacted_through: BTreeMap::new(),
         }
     }
 
@@ -181,17 +176,13 @@ impl TocState {
 
     /// After a crack split piece `old_start` at `new_start`: the dead tail
     /// (if any) belongs to the upper sub-piece, so its hole-ledger entry
-    /// moves; both sub-pieces inherit the original piece's
-    /// `compacted_through` watermark.
+    /// moves.
     fn on_piece_split(&mut self, old_start: usize, new_start: usize) {
         if old_start == new_start {
             return;
         }
         if let Some(h) = self.holes.remove(&old_start) {
             *self.holes.entry(new_start).or_insert(0) += h;
-        }
-        if let Some(&w) = self.compacted_through.get(&old_start) {
-            self.compacted_through.insert(new_start, w);
         }
     }
 
@@ -236,6 +227,15 @@ enum MainPlan {
     },
 }
 
+/// One side of a rebuild walk: aligned rows plus ascending `(crack value,
+/// position)` boundaries relative to them.
+#[derive(Debug, Default)]
+struct Rebuilt {
+    values: Vec<i64>,
+    rowids: Vec<RowId>,
+    cracks: Vec<(i64, usize)>,
+}
+
 /// A cracker index shared by concurrent query threads.
 #[derive(Debug)]
 pub struct ConcurrentCracker {
@@ -270,9 +270,6 @@ pub struct ConcurrentCracker {
     /// from (wraps at the array length; racing walkers merely duplicate a
     /// piece probe).
     walk_cursor: AtomicUsize,
-    /// Delta epoch the last *full* rebuild merged everything through;
-    /// pieces without a `compacted_through` entry sit at this floor.
-    compacted_floor: AtomicU64,
     /// Lock-free mirror of the hole ledger's total (the toc mutex holds
     /// the truth): lets the hot read paths skip the toc lock entirely in
     /// the common hole-free state. Readers that race a shrink making it
@@ -378,7 +375,6 @@ impl ConcurrentCracker {
             shrink_serial: Mutex::new(()),
             reclaim_pause: AtomicU64::new(0),
             walk_cursor: AtomicUsize::new(0),
-            compacted_floor: AtomicU64::new(0),
             hole_rows: AtomicU64::new(0),
             hole_cracks: AtomicU64::new(0),
             next_rowid: AtomicU64::new(next_rowid),
@@ -505,27 +501,6 @@ impl ConcurrentCracker {
     /// Incremental compaction walk steps performed so far.
     pub fn compaction_steps_performed(&self) -> u64 {
         self.incremental_steps.load(Ordering::Relaxed)
-    }
-
-    /// The delta epoch every piece has been compacted through: writes
-    /// stamped at or below this epoch are physically reconciled with the
-    /// main array everywhere. Advanced piece by piece by the incremental
-    /// walk and column-wide by full rebuilds.
-    pub fn compacted_through(&self) -> u64 {
-        let floor = self.compacted_floor.load(Ordering::Acquire);
-        let toc = self.lock_toc();
-        let pieces = toc.map.piece_count();
-        if toc.compacted_through.len() < pieces {
-            // Some piece has never been visited since the last rebuild.
-            return floor;
-        }
-        let min_entry = toc
-            .compacted_through
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(floor);
-        floor.max(min_entry)
     }
 
     /// Pending inserted rows physically merged into the main array by
@@ -1629,13 +1604,13 @@ impl ConcurrentCracker {
         covered
     }
 
-    /// Watermark-driven walk scheduling: points the walk cursor at the
+    /// Density-driven walk scheduling: points the walk cursor at the
     /// piece with the densest pending delta (pending rows plus tombstones
-    /// per live position), breaking ties toward the stalest
-    /// `compacted_through` watermark, so the pieces with the most
-    /// reconciliation work per latch acquisition merge first. Leaves the
-    /// cursor where the round-robin walk parked it when no piece has any
-    /// delta rows (hole-only reclamation keeps the lap order).
+    /// per live position; ties go to the lowest piece), so the pieces with
+    /// the most reconciliation work per latch acquisition merge first.
+    /// Leaves the cursor where the round-robin walk parked it when no
+    /// piece has any delta rows (hole-only reclamation keeps the lap
+    /// order).
     ///
     /// Cost: the delta's distinct values are grouped into pieces in one
     /// pass — `O(delta · log pieces)` against the *bounded* delta, so
@@ -1649,7 +1624,6 @@ impl ConcurrentCracker {
         if toc.map.piece_count() <= 1 {
             return;
         }
-        let floor = self.compacted_floor.load(Ordering::Acquire);
         // piece start → (delta rows, piece span).
         let mut per_piece: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
         for (value, rows) in counts {
@@ -1657,23 +1631,18 @@ impl ConcurrentCracker {
             let entry = per_piece.entry(piece.start).or_insert((0, piece.len()));
             entry.0 += rows;
         }
-        let mut best: Option<(usize, f64, u64)> = None; // (start, density, watermark)
+        let mut best: Option<(usize, f64)> = None; // (start, density)
         for (&start, &(rows, span)) in &per_piece {
             if span == 0 {
                 continue;
             }
             let density = rows as f64 / span as f64;
-            let watermark = toc.compacted_through.get(&start).copied().unwrap_or(floor);
-            let better = match best {
-                None => true,
-                Some((_, d, w)) => density > d || (density == d && watermark < w),
-            };
-            if better {
-                best = Some((start, density, watermark));
+            if best.is_none_or(|(_, d)| density > d) {
+                best = Some((start, density));
             }
         }
         drop(toc);
-        if let Some((start, _, _)) = best {
+        if let Some((start, _)) = best {
             self.walk_cursor.store(start, Ordering::Relaxed);
         }
     }
@@ -1743,17 +1712,8 @@ impl ConcurrentCracker {
     /// column access — covering `piece`): sweep the piece's tombstoned
     /// rows into its dead tail, then fill that tail's holes with the
     /// piece's pending inserts, retiring/compensating the moved stamps so
-    /// current readers and snapshots both stay exact. Advances the piece's
-    /// `compacted_through` watermark — but only when the merge actually
-    /// left nothing of the piece's key range in the delta (a deferred
-    /// sweep or an over-full hole budget keeps the old watermark, so
-    /// [`ConcurrentCracker::compacted_through`] never overstates).
+    /// current readers and snapshots both stay exact.
     fn merge_piece_locked(&self, piece: &Piece, metrics: &mut QueryMetrics) {
-        // Watermark candidate first: if the piece's key range ends up
-        // fully reconciled, everything stamped up to here is merged (later
-        // writes may also be; a lagging watermark is fine, a leading one
-        // is not).
-        let through = self.delta.current_epoch();
         let traced = aidx_obs::enabled().then(Instant::now);
         let (live_end, swept) = self.shrink_piece_locked(piece);
         let mut merged = 0usize;
@@ -1791,16 +1751,6 @@ impl ConcurrentCracker {
                 self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
             }
         }
-        // Only a fully reconciled piece advances its watermark: rows of
-        // this key range still in the delta (sweep deferred by a paused
-        // reader, or more pending inserts than the hole budget could
-        // place) mean epochs up to `through` are *not* all merged here.
-        if self.delta.rows_in(piece.low_value, piece.high_value) == 0 {
-            self.toc
-                .lock()
-                .compacted_through
-                .insert(piece.start, through);
-        }
         metrics.rows_reclaimed = metrics
             .rows_reclaimed
             .saturating_add(swept as u64 + merged as u64);
@@ -1830,25 +1780,7 @@ impl ConcurrentCracker {
         } else if delta_rows == 0 && self.lock_toc().total_holes == 0 {
             return false;
         }
-        // Column-latch regime: the quiesce is also expressed through the
-        // protocol's own latch, so the exclusive window shows up in the
-        // column latch statistics like any other structural change.
-        let column_guard = (self.protocol == LatchProtocol::Column)
-            .then(|| self.column_latch.acquire_write(i64::MIN));
-        // The rebuild is one instantly-committing system transaction.
-        let mut txn = self.systxn.begin(1);
-        let (merged, reclaimed) = self.rebuild_from_delta();
-        txn.complete_step();
-        txn.commit();
-        // Everything stamped so far is merged: raise the column-wide
-        // watermark floor and restart the incremental walk.
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        // Piece start positions changed meaning: stale piece latches must
-        // not be reused.
-        self.registry.reset_latches();
-        drop(column_guard);
+        let (_, merged, reclaimed) = self.restructure(&quiesce, || self.rebuild(None, None));
         drop(quiesce);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         self.pending_compacted.fetch_add(merged, Ordering::Relaxed);
@@ -1865,65 +1797,105 @@ impl ConcurrentCracker {
         true
     }
 
-    /// The rebuild pass (caller holds the quiesce guard): drains the
-    /// delta, then walks the pieces in position order copying live rows
-    /// (skipping dead tails), dropping each piece's tombstoned rows, and
+    /// The frame of every structural rebuild (the caller holds the quiesce
+    /// guard): the column latch in the column regime, so the exclusive
+    /// window shows up in the column latch statistics like any other
+    /// structural change, and one instantly-committing system transaction
+    /// around `rebuild`. Afterwards piece start positions have changed
+    /// meaning, so stale piece latches are dropped and the incremental
+    /// walk restarts.
+    fn restructure<R>(&self, _quiesced: &QuiesceGuard<'_>, rebuild: impl FnOnce() -> R) -> R {
+        let column_guard = (self.protocol == LatchProtocol::Column)
+            .then(|| self.column_latch.acquire_write(i64::MIN));
+        let mut txn = self.systxn.begin(1);
+        let out = rebuild();
+        txn.complete_step();
+        txn.commit();
+        self.walk_cursor.store(0, Ordering::Relaxed);
+        self.registry.reset_latches();
+        drop(column_guard);
+        out
+    }
+
+    /// The one rebuild walk (run inside [`ConcurrentCracker::restructure`]):
+    /// drains the delta, then walks the pieces in position order copying
+    /// live rows (skipping dead tails), dropping tombstoned rows, and
     /// appending each pending insert to the piece whose key interval
-    /// contains it — so every existing crack value survives, its position
-    /// shifted by the net row movement below it, exactly the boundary
-    /// fixup `PieceMap::apply_insert_batch`/`apply_delete` perform for the
-    /// single-threaded cracker's delta merge. Returns `(pending rows
-    /// merged, tombstoned rows dropped)`.
-    fn rebuild_from_delta(&self) -> (u64, u64) {
+    /// contains it — so every crack value survives, its position shifted
+    /// by the net row movement below it. Rows and cracks at or above
+    /// `split_at` are moved out instead of kept (the crack *at* the split
+    /// key becomes the partition boundary itself); `absorbed` rows, all
+    /// at or above their boundary, are appended above the kept ones with
+    /// the boundary recorded as a crack. The kept rows replace the main
+    /// array. Returns `(moved rows, pending rows merged, tombstoned rows
+    /// dropped)`.
+    fn rebuild(
+        &self,
+        split_at: Option<i64>,
+        absorbed: Option<(Rebuilt, i64)>,
+    ) -> (Rebuilt, u64, u64) {
         let drained = self.delta.drain();
         let mut toc = self.lock_toc();
-        let pieces = toc.map.pieces();
-        let old_len = self.data.len();
-        let new_len = (old_len - toc.total_holes + drained.inserts.len())
+        let expected_len = (self.data.len() - toc.total_holes + drained.inserts.len())
             .saturating_sub(drained.doomed.len());
+        let above = |v: i64| split_at.is_some_and(|at| v >= at);
+        let (mut kept, mut moved) = (Rebuilt::default(), Rebuilt::default());
+        if split_at.is_none() {
+            // A plain rebuild keeps every row: size the new array once.
+            kept.values.reserve_exact(expected_len);
+            kept.rowids.reserve_exact(expected_len);
+        }
         let mut inserts = drained.inserts.iter().copied().peekable();
-        let mut values = Vec::with_capacity(new_len);
-        let mut rowids = Vec::with_capacity(new_len);
-        let mut cracks: Vec<(i64, usize)> = Vec::with_capacity(pieces.len().saturating_sub(1));
-        for piece in &pieces {
+        for piece in toc.map.pieces() {
             let live_end = toc.live_end(piece.start, piece.end);
-            for (v, rid) in self.data.pairs_in_range(piece.start, live_end) {
-                if drained.doomed.contains(&rid) {
-                    continue;
-                }
-                values.push(v);
-                rowids.push(rid);
+            let live = self
+                .data
+                .pairs_in_range(piece.start, live_end)
+                .into_iter()
+                .filter(|(_, rid)| !drained.doomed.contains(rid));
+            let placed = std::iter::from_fn(|| {
+                inserts.next_if(|&(v, _)| piece.high_value.is_none_or(|hv| v < hv))
+            });
+            for (v, rid) in live.chain(placed) {
+                let side = if above(v) { &mut moved } else { &mut kept };
+                side.values.push(v);
+                side.rowids.push(rid);
             }
-            while let Some(&(v, rid)) = inserts.peek() {
-                if piece.high_value.is_none_or(|hv| v < hv) {
-                    values.push(v);
-                    rowids.push(rid);
-                    inserts.next();
-                } else {
-                    break;
-                }
-            }
-            if let Some(high_value) = piece.high_value {
-                cracks.push((high_value, values.len()));
+            if let Some(hv) = piece.high_value.filter(|&hv| split_at != Some(hv)) {
+                let side = if above(hv) { &mut moved } else { &mut kept };
+                side.cracks.push((hv, side.values.len()));
             }
         }
         debug_assert!(inserts.peek().is_none(), "every pending insert placed");
         debug_assert_eq!(
-            values.len(),
-            new_len,
+            kept.values.len() + moved.values.len(),
+            expected_len,
             "tombstoned row ids are exact, so every one finds its row"
         );
-        let rebuilt_len = values.len();
-        self.data.replace(values, rowids);
-        let mut fresh = TocState::new(rebuilt_len);
-        for (value, position) in cracks {
+        if let Some((upper, boundary)) = absorbed {
+            let base = kept.values.len();
+            if base > 0 && !upper.values.is_empty() {
+                kept.cracks.push((boundary, base));
+            }
+            kept.cracks
+                .extend(upper.cracks.iter().map(|&(v, pos)| (v, base + pos)));
+            kept.values.extend_from_slice(&upper.values);
+            kept.rowids.extend_from_slice(&upper.rowids);
+        }
+        let mut fresh = TocState::new(kept.values.len());
+        for &(value, position) in &kept.cracks {
             fresh.add_crack(value, position);
         }
+        self.data.replace(kept.values, kept.rowids);
         *toc = fresh;
         // The rebuild reclaimed every hole (quiesced, so no reader races
         // the mirror reset).
         self.hole_rows.store(0, Ordering::Release);
-        (drained.inserts.len() as u64, drained.doomed.len() as u64)
+        (
+            moved,
+            drained.inserts.len() as u64,
+            drained.doomed.len() as u64,
+        )
     }
 
     /// Builds a concurrent cracker from rows plus an existing crack
@@ -1987,74 +1959,8 @@ impl ConcurrentCracker {
     pub fn split_off(&self, at: i64) -> (Vec<i64>, Vec<RowId>, Vec<(i64, usize)>) {
         let quiesce = self.registry.quiesce();
         debug_assert_eq!(self.live_snapshots(), 0, "split_off with a live snapshot");
-        let column_guard = (self.protocol == LatchProtocol::Column)
-            .then(|| self.column_latch.acquire_write(i64::MIN));
-        let mut txn = self.systxn.begin(1);
-        let drained = self.delta.drain();
-        let mut toc = self.lock_toc();
-        let pieces = toc.map.pieces();
-        let mut inserts = drained.inserts.iter().copied().peekable();
-        let (mut kept_values, mut kept_rowids) = (Vec::new(), Vec::<RowId>::new());
-        let mut kept_cracks: Vec<(i64, usize)> = Vec::new();
-        let (mut moved_values, mut moved_rowids) = (Vec::new(), Vec::<RowId>::new());
-        let mut moved_cracks: Vec<(i64, usize)> = Vec::new();
-        for piece in &pieces {
-            let live_end = toc.live_end(piece.start, piece.end);
-            for (v, rid) in self.data.pairs_in_range(piece.start, live_end) {
-                if drained.doomed.contains(&rid) {
-                    continue;
-                }
-                if v >= at {
-                    moved_values.push(v);
-                    moved_rowids.push(rid);
-                } else {
-                    kept_values.push(v);
-                    kept_rowids.push(rid);
-                }
-            }
-            while let Some(&(v, rid)) = inserts.peek() {
-                if piece.high_value.is_none_or(|hv| v < hv) {
-                    if v >= at {
-                        moved_values.push(v);
-                        moved_rowids.push(rid);
-                    } else {
-                        kept_values.push(v);
-                        kept_rowids.push(rid);
-                    }
-                    inserts.next();
-                } else {
-                    break;
-                }
-            }
-            if let Some(hv) = piece.high_value {
-                match hv.cmp(&at) {
-                    std::cmp::Ordering::Less => kept_cracks.push((hv, kept_values.len())),
-                    // The crack *at* the split key becomes the partition
-                    // boundary itself.
-                    std::cmp::Ordering::Equal => {}
-                    std::cmp::Ordering::Greater => moved_cracks.push((hv, moved_values.len())),
-                }
-            }
-        }
-        debug_assert!(inserts.peek().is_none(), "every pending insert placed");
-        let kept_len = kept_values.len();
-        self.data.replace(kept_values, kept_rowids);
-        let mut fresh = TocState::new(kept_len);
-        for (value, position) in kept_cracks {
-            fresh.add_crack(value, position);
-        }
-        *toc = fresh;
-        self.hole_rows.store(0, Ordering::Release);
-        drop(toc);
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        self.registry.reset_latches();
-        txn.complete_step();
-        txn.commit();
-        drop(column_guard);
-        drop(quiesce);
-        (moved_values, moved_rowids, moved_cracks)
+        let (moved, _, _) = self.restructure(&quiesce, || self.rebuild(Some(at), None));
+        (moved.values, moved.rowids, moved.cracks)
     }
 
     /// Absorbs rows handed off by the neighbouring partition directly
@@ -2075,47 +1981,15 @@ impl ConcurrentCracker {
         debug_assert!(values.iter().all(|&v| v >= boundary));
         let quiesce = self.registry.quiesce();
         debug_assert_eq!(self.live_snapshots(), 0, "absorb with a live snapshot");
-        let column_guard = (self.protocol == LatchProtocol::Column)
-            .then(|| self.column_latch.acquire_write(i64::MIN));
-        let mut txn = self.systxn.begin(1);
-        self.rebuild_from_delta();
-        let mut toc = self.lock_toc();
-        let (mut all_values, mut all_rowids) = self.data.snapshot();
-        let base_len = all_values.len();
-        let mut all_cracks: Vec<(i64, usize)> = toc
-            .map
-            .pieces()
-            .iter()
-            .filter_map(|p| p.high_value.map(|hv| (hv, p.end)))
-            .collect();
-        if base_len > 0 && !values.is_empty() {
-            all_cracks.push((boundary, base_len));
+        if let Some(m) = rowids.iter().max() {
+            self.next_rowid.fetch_max(*m as u64 + 1, Ordering::Relaxed);
         }
-        for &(v, pos) in cracks {
-            all_cracks.push((v, base_len + pos));
-        }
-        let max_rid = rowids.iter().copied().max();
-        all_values.extend_from_slice(&values);
-        all_rowids.extend_from_slice(&rowids);
-        let new_len = all_values.len();
-        self.data.replace(all_values, all_rowids);
-        let mut fresh = TocState::new(new_len);
-        for (value, position) in all_cracks {
-            fresh.add_crack(value, position);
-        }
-        *toc = fresh;
-        drop(toc);
-        if let Some(m) = max_rid {
-            self.next_rowid.fetch_max(m as u64 + 1, Ordering::Relaxed);
-        }
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        self.registry.reset_latches();
-        txn.complete_step();
-        txn.commit();
-        drop(column_guard);
-        drop(quiesce);
+        let upper = Rebuilt {
+            values,
+            rowids,
+            cracks: cracks.to_vec(),
+        };
+        self.restructure(&quiesce, || self.rebuild(None, Some((upper, boundary))));
     }
 
     /// Refines the largest piece if it holds at least `min_rows` live
@@ -3065,68 +2939,6 @@ mod tests {
     }
 
     #[test]
-    fn compacted_through_watermark_advances() {
-        let values = shuffled(1000);
-        let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
-        idx.read::<Sum>(200, 800, None);
-        assert_eq!(idx.compacted_through(), 0, "no writes yet");
-        for key in [100, 300, 500] {
-            idx.delete(key);
-            idx.insert(key);
-        }
-        let epoch_now = idx.current_epoch();
-        assert!(idx.compacted_through() < epoch_now, "pending work exists");
-        // A full lap of steps must carry every piece past those writes.
-        let mut walked = 0;
-        while walked < 64 && idx.compacted_through() < epoch_now {
-            idx.compact_step(8);
-            walked += 1;
-        }
-        assert!(
-            idx.compacted_through() >= epoch_now,
-            "the walk advances every piece's watermark"
-        );
-        assert_eq!(idx.pending_inserts(), 0);
-        // A full rebuild raises the floor in one go.
-        for key in [101, 301] {
-            idx.delete(key);
-        }
-        idx.insert(5000);
-        idx.compact();
-        assert!(idx.compacted_through() >= idx.current_epoch());
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn incomplete_piece_merges_do_not_overstate_the_watermark() {
-        let idx = ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Piece);
-        idx.read::<Sum>(0, 1000, None);
-        // One hole, three pending inserts for the same key: a full lap of
-        // steps can place only one row, so the key's piece is not fully
-        // reconciled and the column watermark must not reach the epoch of
-        // the unplaced inserts.
-        assert_eq!(idx.delete(500).0, 1);
-        idx.insert(500);
-        idx.insert(500);
-        idx.insert(500);
-        let epoch_now = idx.current_epoch();
-        let mut walked = 0;
-        while walked < 64 {
-            idx.compact_step(8);
-            walked += 1;
-        }
-        assert_eq!(idx.pending_inserts(), 2, "hole budget placed one row");
-        assert!(
-            idx.compacted_through() < epoch_now,
-            "unreconciled epochs must keep the watermark behind: {} vs {}",
-            idx.compacted_through(),
-            epoch_now
-        );
-        assert_eq!(idx.count(500, 501).0, 3, "answers stay exact regardless");
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
     fn snapshot_stays_exact_across_incremental_steps() {
         // The acceptance shape: a scan pinned open across >= 3 incremental
         // steps answers exactly at its epoch, for every protocol.
@@ -3440,7 +3252,7 @@ mod tests {
         }
     }
 
-    // ----- watermark-driven walk scheduling --------------------------------
+    // ----- density-driven walk scheduling ----------------------------------
 
     #[test]
     fn incremental_walk_reconciles_the_densest_piece_first() {

@@ -567,7 +567,7 @@ impl PendingDelta {
 
     /// Every distinct value currently in the delta with its row count
     /// (pending inserts plus tombstones), ascending by value. The
-    /// incremental compactor's watermark-driven steering groups these by
+    /// incremental compactor's density-driven steering groups these by
     /// piece — `O(delta)` work against the *bounded* delta, instead of
     /// `O(pieces)` probes against the unbounded piece count.
     pub fn value_counts(&self) -> Vec<(i64, u64)> {
@@ -586,9 +586,8 @@ impl PendingDelta {
 
     /// Current delta rows (pending inserts plus tombstones) whose values
     /// fall inside the piece key interval `[low, high)` (bounds as in
-    /// [`PendingDelta::tombstone_rows_in`]). The incremental compactor
-    /// uses this to decide whether a piece is fully reconciled before
-    /// advancing its watermark.
+    /// [`PendingDelta::tombstone_rows_in`]): how much of a piece's key
+    /// interval is still unreconciled.
     pub fn rows_in(&self, low: Option<i64>, high: Option<i64>) -> u64 {
         let state = self.lock_state();
         let epoch = state.readers.epoch;

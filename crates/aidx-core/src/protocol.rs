@@ -9,6 +9,7 @@
 //! by committing partial work (adaptive early termination) — Section 3.3.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Which latching protocol the concurrent cracker uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,6 +34,22 @@ impl fmt::Display for LatchProtocol {
             LatchProtocol::Column => write!(f, "column"),
             LatchProtocol::Piece => write!(f, "piece"),
         }
+    }
+}
+
+impl FromStr for LatchProtocol {
+    type Err = String;
+
+    /// The inverse of `Display`: `none`, `column` or `piece`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [
+            LatchProtocol::None,
+            LatchProtocol::Column,
+            LatchProtocol::Piece,
+        ]
+        .into_iter()
+        .find(|p| p.to_string() == s)
+        .ok_or_else(|| format!("unknown latch protocol '{s}'"))
     }
 }
 
@@ -83,6 +100,14 @@ mod tests {
         assert_eq!(LatchProtocol::None.to_string(), "none");
         assert_eq!(LatchProtocol::Column.to_string(), "column");
         assert_eq!(LatchProtocol::Piece.to_string(), "piece");
+        for p in [
+            LatchProtocol::None,
+            LatchProtocol::Column,
+            LatchProtocol::Piece,
+        ] {
+            assert_eq!(p.to_string().parse::<LatchProtocol>(), Ok(p));
+        }
+        assert!("Piece".parse::<LatchProtocol>().is_err());
         assert_eq!(RefinementPolicy::Always.to_string(), "always-refine");
         assert_eq!(
             RefinementPolicy::SkipOnContention.to_string(),

@@ -1,14 +1,18 @@
-//! Property tests for the concurrent cracker's write path: random
-//! interleavings of selects, inserts, and deletes against a `BTreeMap`
-//! multiset oracle, with an aggressive compaction threshold so rebuilds
-//! (and delete-aware piece shrinks) fire constantly mid-sequence. The
-//! piece/array/hole invariants must hold after every compaction. The
+//! Property tests for the cracker index (`ConcurrentCracker`): query
+//! sequences against a scan, and random interleavings of selects, inserts,
+//! and deletes against a `BTreeMap` multiset oracle — either with an
+//! aggressive compaction threshold so rebuilds (and delete-aware piece
+//! shrinks) fire constantly mid-sequence, or with compaction disabled so
+//! the delta only grows. The piece/array/hole invariants must hold after
+//! every compaction. The
 //! pending delta's ledger is also driven on its own, through its public
 //! API, against a `rowid → (value, born, died)` model with several live
 //! snapshots.
 
-use aidx_core::{CompactionPolicy, ConcurrentCracker, Count, LatchProtocol, PendingDelta, Sum};
-use aidx_storage::RowId;
+use aidx_core::{
+    CompactionPolicy, ConcurrentCracker, Count, LatchProtocol, PendingDelta, RowIdSet, Sum,
+};
+use aidx_storage::{ops, RowId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -175,10 +179,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
+    fn cracker_index_matches_scan_for_query_sequences(
+        values in prop::collection::vec(-300i64..300, 1..300),
+        queries in prop::collection::vec((-350i64..350, -350i64..350), 1..25),
+    ) {
+        let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::None);
+        for (a, b) in queries {
+            let (low, high) = if a <= b { (a, b) } else { (b, a) };
+            prop_assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
+            prop_assert_eq!(idx.read::<Sum>(low, high, None).0, ops::sum(&values, low, high));
+            prop_assert!(idx.check_invariants());
+        }
+    }
+
+    #[test]
+    fn cracker_rowids_reconstruct_the_same_tuples_as_scan(
+        values in prop::collection::vec(-200i64..200, 1..200),
+        a in -250i64..250,
+        b in -250i64..250,
+    ) {
+        let (low, high) = if a <= b { (a, b) } else { (b, a) };
+        let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::None);
+        let got = idx.read::<RowIdSet>(low, high, None).0.to_vec();
+        let mut expected = ops::select_positions(&values, low, high);
+        expected.sort_unstable();
+        prop_assert_eq!(got, expected);
+    }
+
+    #[test]
     fn mixed_ops_across_compaction_events_match_the_oracle(
         values in prop::collection::vec(-200i64..200, 0..200),
         ops in prop::collection::vec((0u8..4, -250i64..250, -250i64..250), 1..60),
-        threshold in 1u64..12,
+        // 0 = `CompactionPolicy::disabled()`: the delta is never folded
+        // back and every read reconciles it.
+        threshold in prop_oneof![Just(0u64), 1u64..12],
     ) {
         for protocol in [
             LatchProtocol::None,
@@ -217,10 +251,11 @@ proptest! {
                         prop_assert_eq!(removed, expected, "{} delete {}", protocol, a);
                     }
                 }
-                // The policy bounds the delta after every single op: a
-                // write that reaches the threshold compacts on the spot.
+                // An enabled policy bounds the delta after every single
+                // op: a write that reaches the threshold compacts on the
+                // spot.
                 prop_assert!(
-                    idx.delta_rows() < threshold,
+                    threshold == 0 || idx.delta_rows() < threshold,
                     "{}: delta {} outgrew threshold {}",
                     protocol, idx.delta_rows(), threshold
                 );

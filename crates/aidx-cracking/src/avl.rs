@@ -232,21 +232,6 @@ impl<K: Ord, V> AvlTree<K, V> {
         Some((&cur.key, &cur.value))
     }
 
-    /// Applies `f` to every `(key, &mut value)` pair in key order. Keys are
-    /// immutable, so the tree's shape and balance are untouched — this is
-    /// how the piece map shifts recorded crack positions after a physical
-    /// delta merge grows or shrinks the cracker array.
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&K, &mut V)) {
-        fn walk<K, V>(node: &mut Option<Box<Node<K, V>>>, f: &mut impl FnMut(&K, &mut V)) {
-            if let Some(n) = node {
-                walk(&mut n.left, f);
-                f(&n.key, &mut n.value);
-                walk(&mut n.right, f);
-            }
-        }
-        walk(&mut self.root, &mut f);
-    }
-
     /// In-order iteration over `(key, value)` pairs.
     pub fn iter(&self) -> AvlIter<'_, K, V> {
         let mut stack = Vec::new();

@@ -11,30 +11,27 @@
 //!   of contents.
 //! * [`PieceMap`] / [`Piece`] — the cracks recorded so far and the pieces
 //!   they delimit, the granule of the piece-latching protocol (Figure 9).
-//! * [`CrackerIndex`] — the single-threaded cracker index: `crack_select`,
-//!   `count` (Q1), `sum` (Q2), row-id selection, and invariant checking.
 //! * [`ScanBaseline`] / [`SortIndex`] — the two non-adaptive baselines of
 //!   the evaluation (plain scan and full sort + binary search).
 //! * [`StochasticCracker`] — the stochastic-cracking extension for
 //!   workload robustness (reference [16] of the paper).
 //!
-//! The concurrent protocols (column latches, piece latches) live in
-//! `aidx-core`; this crate is purely single-threaded and is also what the
-//! sequential arms of the experiments run.
+//! These are building blocks and single-threaded comparators. The one
+//! cracker index the experiments, figures and benchmark run — with its
+//! latch protocols, pending-write delta and compaction — is
+//! `aidx_core::ConcurrentCracker`, which keeps its cracks in this crate's
+//! [`PieceMap`] over a latch-mediated shared array of its own.
 
 #![warn(missing_docs)]
 
 pub mod avl;
 pub mod baseline;
 pub mod cracker_array;
-pub mod delta;
-pub mod index;
 pub mod piece;
 pub mod stochastic;
 
 pub use avl::AvlTree;
 pub use baseline::{ScanBaseline, SortIndex};
 pub use cracker_array::CrackerArray;
-pub use index::{CrackSelectOutcome, CrackerIndex};
 pub use piece::{Piece, PieceLookup, PieceMap};
-pub use stochastic::{StochasticCracker, DEFAULT_PIECE_THRESHOLD};
+pub use stochastic::{CrackSelectOutcome, StochasticCracker, DEFAULT_PIECE_THRESHOLD};

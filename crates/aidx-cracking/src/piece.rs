@@ -141,70 +141,6 @@ impl PieceMap {
         pieces
     }
 
-    /// Piece-boundary fixup for one physically inserted value: returns the
-    /// position the value must be inserted at (the end of the piece whose
-    /// key interval contains it), shifts every crack above the value one
-    /// position right, and grows the recorded array length.
-    ///
-    /// The insertion position keeps every piece invariant intact: pieces
-    /// are unordered internally, so any slot inside the right piece works,
-    /// and the piece end requires shifting only the cracks at strictly
-    /// greater values (whose positions are all `>=` the insertion point).
-    pub fn apply_insert(&mut self, value: i64) -> usize {
-        let pos = self.piece_for_value(value).end;
-        self.cracks.for_each_mut(|&crack_value, position| {
-            if crack_value > value {
-                *position += 1;
-            }
-        });
-        self.array_len += 1;
-        pos
-    }
-
-    /// Batched piece-boundary fixup for `sorted_values` physically
-    /// inserted in one pass: returns, aligned with the input, the position
-    /// each value must be inserted at (the end of its piece, in *current*
-    /// coordinates — i.e. as if all values were inserted simultaneously),
-    /// then shifts every crack right by the number of inserted values
-    /// strictly below it and grows the recorded array length.
-    ///
-    /// The batch form is what makes a delta merge of `k` rows `O(n)`
-    /// instead of `O(k·n)`: the caller hands the returned positions to
-    /// [`crate::CrackerArray::insert_batch`] for a single rebuild pass.
-    ///
-    /// # Panics
-    /// Panics (in debug) if `sorted_values` is not sorted ascending.
-    pub fn apply_insert_batch(&mut self, sorted_values: &[i64]) -> Vec<usize> {
-        debug_assert!(sorted_values.windows(2).all(|w| w[0] <= w[1]));
-        let positions = sorted_values
-            .iter()
-            .map(|&v| self.piece_for_value(v).end)
-            .collect();
-        self.cracks.for_each_mut(|&crack_value, position| {
-            *position += sorted_values.partition_point(|&v| v < crack_value);
-        });
-        self.array_len += sorted_values.len();
-        positions
-    }
-
-    /// Piece-boundary fixup after `removed` rows with key `value` were
-    /// physically removed from the array: shifts every crack above the
-    /// value left by `removed` and shrinks the recorded array length.
-    /// Cracks at or below the value keep their positions (the removed rows
-    /// all sat at or after them).
-    pub fn apply_delete(&mut self, value: i64, removed: usize) {
-        debug_assert!(removed <= self.array_len);
-        if removed == 0 {
-            return;
-        }
-        self.cracks.for_each_mut(|&crack_value, position| {
-            if crack_value > value {
-                *position -= removed;
-            }
-        });
-        self.array_len -= removed;
-    }
-
     /// The position from which all values are `>= value`, if `value` has
     /// been cracked on; otherwise the bounds of the piece that would need
     /// cracking. Convenience for query planning.
@@ -345,45 +281,6 @@ mod tests {
         map.add_crack(5, 8);
         map.add_crack(7, 3); // position decreases for a larger value: invalid
         assert!(!map.check_invariants());
-    }
-
-    #[test]
-    fn apply_insert_shifts_only_higher_cracks() {
-        let mut map = PieceMap::new(100);
-        map.add_crack(20, 15);
-        map.add_crack(50, 40);
-        map.add_crack(80, 75);
-        // 30 falls into the piece [15, 40) bounded by cracks 20 and 50.
-        let pos = map.apply_insert(30);
-        assert_eq!(pos, 40, "inserted at the piece end");
-        assert_eq!(map.array_len(), 101);
-        assert_eq!(map.crack_position(20), Some(15), "lower cracks untouched");
-        assert_eq!(map.crack_position(50), Some(41));
-        assert_eq!(map.crack_position(80), Some(76));
-        assert!(map.check_invariants());
-        // A value equal to a crack belongs to the upper piece.
-        let pos = map.apply_insert(50);
-        assert_eq!(pos, 76);
-        assert_eq!(map.crack_position(50), Some(41));
-        assert_eq!(map.crack_position(80), Some(77));
-    }
-
-    #[test]
-    fn apply_delete_shifts_only_higher_cracks() {
-        let mut map = PieceMap::new(100);
-        map.add_crack(20, 15);
-        map.add_crack(50, 40);
-        map.add_crack(80, 75);
-        map.apply_delete(30, 5);
-        assert_eq!(map.array_len(), 95);
-        assert_eq!(map.crack_position(20), Some(15));
-        assert_eq!(map.crack_position(50), Some(35));
-        assert_eq!(map.crack_position(80), Some(70));
-        assert!(map.check_invariants());
-        // Deleting zero rows is a no-op.
-        map.apply_delete(20, 0);
-        assert_eq!(map.array_len(), 95);
-        assert_eq!(map.crack_position(50), Some(35));
     }
 
     #[test]

@@ -10,22 +10,33 @@
 //! random") flavour as an extension so the benchmark harness can compare it
 //! with plain cracking under sequential workloads.
 //!
-//! [`StochasticCracker`] behaves exactly like [`CrackerIndex`] at the API
-//! level — same results, same invariants — but whenever a query bound lands
-//! in a piece larger than `piece_threshold`, it first splits that piece at
+//! [`StochasticCracker`] answers like plain cracking — same results, same
+//! piece invariants — but whenever a query bound lands in a piece larger
+//! than `piece_threshold`, it first splits that piece at
 //! random pivots until the piece containing the bound is small enough, and
 //! only then cracks at the bound itself.
 
 use crate::cracker_array::CrackerArray;
-use crate::index::CrackSelectOutcome;
 use crate::piece::{PieceLookup, PieceMap};
-use aidx_storage::{Column, RowId};
+use aidx_storage::Column;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
 /// Default piece-size threshold below which no random cracks are injected.
 pub const DEFAULT_PIECE_THRESHOLD: usize = 4096;
+
+/// What a single crack-select call did and found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrackSelectOutcome {
+    /// Positions of the cracker array holding all values in `[low, high)`.
+    pub range: Range<usize>,
+    /// Number of cracks (bound and random) this call performed.
+    pub cracks_performed: u8,
+    /// Total number of positions inside the pieces that were reorganised —
+    /// the work done, which shrinks as the index refines.
+    pub positions_touched: usize,
+}
 
 /// A cracker index that injects random cracks into oversized pieces.
 #[derive(Debug, Clone)]
@@ -36,7 +47,6 @@ pub struct StochasticCracker {
     piece_threshold: usize,
     random_cracks: u64,
     bound_cracks: u64,
-    next_rowid: RowId,
 }
 
 impl StochasticCracker {
@@ -56,7 +66,6 @@ impl StochasticCracker {
     pub fn with_threshold(values: Vec<i64>, piece_threshold: usize, seed: u64) -> Self {
         let array = CrackerArray::from_values(values);
         let map = PieceMap::new(array.len());
-        let next_rowid = array.len() as RowId;
         StochasticCracker {
             array,
             map,
@@ -64,7 +73,6 @@ impl StochasticCracker {
             piece_threshold: piece_threshold.max(2),
             random_cracks: 0,
             bound_cracks: 0,
-            next_rowid,
         }
     }
 
@@ -117,7 +125,7 @@ impl StochasticCracker {
                     // Pick a random pivot from the piece's actual values so
                     // the crack is data-driven and always lands inside.
                     let sample_pos = self.rng.gen_range(piece.start..piece.end);
-                    let mut pivot = self.array.value_at(sample_pos);
+                    let pivot = self.array.value_at(sample_pos);
                     if self.map.crack_position(pivot).is_some() || pivot == bound {
                         // Already cracked there (or identical to the bound):
                         // fall back to cracking directly at the bound.
@@ -132,14 +140,14 @@ impl StochasticCracker {
                     self.map.add_crack(pivot, pos);
                     self.random_cracks += 1;
                     // Loop: the piece containing `bound` has shrunk.
-                    let _ = &mut pivot;
                 }
             }
         }
     }
 
-    /// Range select with stochastic refinement; same contract as
-    /// [`CrackerIndex::crack_select`](crate::index::CrackerIndex::crack_select).
+    /// Range select with stochastic refinement: returns the contiguous
+    /// position range holding every value in `[low, high)`. `low >= high`
+    /// yields an empty range and performs no work.
     pub fn crack_select(&mut self, low: i64, high: i64) -> CrackSelectOutcome {
         if low >= high {
             return CrackSelectOutcome {
@@ -153,43 +161,10 @@ impl StochasticCracker {
         let (p_high, touched_high) = self.position_for_bound(high);
         let cracks = (self.bound_cracks + self.random_cracks - cracks_before).min(u8::MAX as u64);
         CrackSelectOutcome {
-            range: Range {
-                start: p_low,
-                end: p_high,
-            },
+            range: p_low..p_high,
             cracks_performed: cracks as u8,
             positions_touched: touched_low + touched_high,
         }
-    }
-
-    /// Inserts one row with the given key, returning its new row id. The
-    /// row is physically merged into the piece whose key interval contains
-    /// it, with piece-boundary fixup (cracks above the value shift right).
-    pub fn insert(&mut self, value: i64) -> RowId {
-        let rowid = self.next_rowid;
-        self.next_rowid += 1;
-        let pos = self.map.apply_insert(value);
-        self.array.insert_at(pos, value, rowid);
-        rowid
-    }
-
-    /// Deletes every row whose key equals `value`, returning how many rows
-    /// were removed. Cracks at the value's bounds first so the doomed rows
-    /// are contiguous (the refinement is kept, like any other crack), then
-    /// removes the run via the shared [`crate::delta`] primitives.
-    pub fn delete(&mut self, value: i64) -> u64 {
-        if self.array.is_empty() {
-            return 0;
-        }
-        let (a, _) = self.position_for_bound(value);
-        let b = match crate::delta::next_key(value) {
-            Some(next) => self.position_for_bound(next).0,
-            None => self.array.len(),
-        };
-        if b > a {
-            crate::delta::remove_key_run(&mut self.array, &mut self.map, value, a, b);
-        }
-        (b - a) as u64
     }
 
     /// Q1 with stochastic refinement.
@@ -203,8 +178,9 @@ impl StochasticCracker {
         self.array.sum_range(out.range.start, out.range.end)
     }
 
-    /// Verifies piece/array consistency (see
-    /// [`CrackerIndex::check_invariants`](crate::index::CrackerIndex::check_invariants)).
+    /// Verifies that every recorded crack is consistent with the array:
+    /// each piece holds only values within its key bounds. Intended for
+    /// tests and property checks.
     pub fn check_invariants(&self) -> bool {
         if !self.map.check_invariants() {
             return false;
@@ -299,27 +275,6 @@ mod tests {
             .filter(|p| p.end <= idx.len() && p.len() <= threshold)
             .count();
         assert!(small >= 40, "expected many small pieces, got {small}");
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn inserts_and_deletes_stay_consistent_with_scan() {
-        let values = data(2000);
-        let mut idx = StochasticCracker::with_threshold(values.clone(), 64, 5);
-        idx.count(100, 1500); // refine first so fixup paths are exercised
-        idx.insert(250);
-        idx.insert(250);
-        let mut oracle = values.clone();
-        oracle.push(250);
-        oracle.push(250);
-        let expected = oracle.iter().filter(|&&v| v == 777).count() as u64;
-        assert_eq!(idx.delete(777), expected);
-        oracle.retain(|&v| v != 777);
-        for (low, high) in [(0, 2000), (200, 300), (700, 800), (249, 251)] {
-            assert_eq!(idx.count(low, high), ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high), ops::sum(&oracle, low, high));
-        }
-        assert_eq!(idx.len(), oracle.len());
         assert!(idx.check_invariants());
     }
 

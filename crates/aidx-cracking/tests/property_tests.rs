@@ -3,9 +3,11 @@
 //! These check the invariants that make cracking a *purely structural*
 //! refinement: the multiset of (value, rowid) pairs never changes, query
 //! answers always equal a naive scan, the table of contents stays
-//! consistent with the array, and the AVL tree keeps its balance.
+//! consistent with the array, and the AVL tree keeps its balance. The
+//! cracker index itself (`ConcurrentCracker`) is property-tested in
+//! `aidx-core`.
 
-use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex, SortIndex, StochasticCracker};
+use aidx_cracking::{AvlTree, CrackerArray, SortIndex, StochasticCracker};
 use aidx_storage::ops;
 use proptest::prelude::*;
 
@@ -51,76 +53,6 @@ proptest! {
         prop_assert!(arr.values()[p1..p2].iter().all(|&v| v >= low && v < high));
         prop_assert!(arr.values()[p2..].iter().all(|&v| v >= high));
         prop_assert_eq!(multiset(&arr), before);
-    }
-
-    #[test]
-    fn cracker_index_matches_scan_for_query_sequences(
-        values in prop::collection::vec(-300i64..300, 1..300),
-        queries in prop::collection::vec((-350i64..350, -350i64..350), 1..25),
-    ) {
-        let mut idx = CrackerIndex::from_values(values.clone());
-        for (a, b) in queries {
-            let (low, high) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert_eq!(idx.count(low, high), ops::count(&values, low, high));
-            prop_assert_eq!(idx.sum(low, high), ops::sum(&values, low, high));
-            prop_assert!(idx.check_invariants());
-        }
-    }
-
-    #[test]
-    fn mixed_selects_and_writes_match_a_btreemap_oracle(
-        values in prop::collection::vec(-200i64..200, 0..200),
-        ops_list in prop::collection::vec((0u8..4, -250i64..250, -250i64..250), 1..40),
-    ) {
-        // Random interleaving of selects, inserts, and deletes against a
-        // BTreeMap multiset oracle; the piece invariants must hold after
-        // every delta merge (i.e. after every operation that cracks).
-        let mut idx = CrackerIndex::from_values(values.clone());
-        let mut oracle: std::collections::BTreeMap<i64, u64> = std::collections::BTreeMap::new();
-        for &v in &values {
-            *oracle.entry(v).or_insert(0) += 1;
-        }
-        for (kind, x, y) in ops_list {
-            match kind {
-                0 => {
-                    idx.insert(x);
-                    *oracle.entry(x).or_insert(0) += 1;
-                }
-                1 => {
-                    let removed = idx.delete(x);
-                    let expected = oracle.remove(&x).unwrap_or(0);
-                    prop_assert_eq!(removed, expected, "delete {}", x);
-                }
-                _ => {
-                    let (low, high) = if x <= y { (x, y) } else { (y, x) };
-                    let expected_count: u64 = oracle.range(low..high).map(|(_, &n)| n).sum();
-                    let expected_sum: i128 = oracle
-                        .range(low..high)
-                        .map(|(&v, &n)| v as i128 * n as i128)
-                        .sum();
-                    prop_assert_eq!(idx.count(low, high), expected_count, "count [{},{})", low, high);
-                    prop_assert_eq!(idx.sum(low, high), expected_sum, "sum [{},{})", low, high);
-                }
-            }
-            prop_assert!(idx.check_invariants(), "piece invariants after {:?}", (kind, x, y));
-            let oracle_len: u64 = oracle.values().sum();
-            prop_assert_eq!(idx.len() as u64, oracle_len);
-        }
-    }
-
-    #[test]
-    fn cracker_rowids_reconstruct_the_same_tuples_as_scan(
-        values in prop::collection::vec(-200i64..200, 1..200),
-        a in -250i64..250,
-        b in -250i64..250,
-    ) {
-        let (low, high) = if a <= b { (a, b) } else { (b, a) };
-        let mut idx = CrackerIndex::from_values(values.clone());
-        let mut got = idx.select_rowids(low, high);
-        let mut expected = ops::select_positions(&values, low, high);
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod pool;
 pub mod range_partitioned;
 
 pub use chunked::{ChunkedCracker, ChunkedSnapshot};
-pub use pool::{available_cores, WorkerPool};
+pub use pool::{available_cores, effective_workers, WorkerPool};
 pub use range_partitioned::{
     AdaptiveConfig, RangePartitionedCracker, RangeSnapshot, Rebalance, RoutingStats,
 };

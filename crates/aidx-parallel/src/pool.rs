@@ -103,6 +103,15 @@ pub fn available_cores() -> usize {
         .unwrap_or(4)
 }
 
+/// Resolves a worker-count knob: `0` means one worker per available core.
+pub fn effective_workers(requested: usize) -> usize {
+    if requested == 0 {
+        available_cores()
+    } else {
+        requested
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,7 @@ use aidx_core::{
     SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
-use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{effective_workers, ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::{Catalog, RowId, StorageResult, Table};
 use std::collections::{HashMap, HashSet};
 use std::str::FromStr;
@@ -122,15 +122,6 @@ impl TableBackend {
     }
 }
 
-fn parse_protocol(s: &str) -> Option<LatchProtocol> {
-    match s {
-        "none" => Some(LatchProtocol::None),
-        "column" => Some(LatchProtocol::Column),
-        "piece" => Some(LatchProtocol::Piece),
-        _ => None,
-    }
-}
-
 impl FromStr for TableBackend {
     type Err = String;
 
@@ -140,7 +131,9 @@ impl FromStr for TableBackend {
         let s = s.trim().to_ascii_lowercase();
         let err = || format!("unknown table backend '{s}'");
         if let Some(proto) = s.strip_prefix("table-serial-") {
-            return Ok(TableBackend::Serial(parse_protocol(proto).ok_or_else(err)?));
+            return Ok(TableBackend::Serial(
+                proto.parse::<LatchProtocol>().map_err(|_| err())?,
+            ));
         }
         if let Some(rest) = s.strip_prefix("table-chunked-") {
             let (proto, chunks) = match rest.rsplit_once('-') {
@@ -149,7 +142,7 @@ impl FromStr for TableBackend {
                 }
                 _ => (rest, 0),
             };
-            let protocol = parse_protocol(proto).ok_or_else(err)?;
+            let protocol = proto.parse::<LatchProtocol>().map_err(|_| err())?;
             return Ok(TableBackend::Chunked { chunks, protocol });
         }
         if s == "table-range" {
@@ -160,15 +153,6 @@ impl FromStr for TableBackend {
             return Ok(TableBackend::Range { partitions });
         }
         Err(err())
-    }
-}
-
-/// Resolves a worker-count knob: `0` means one worker per available core.
-fn effective_workers(requested: usize) -> usize {
-    if requested == 0 {
-        aidx_parallel::available_cores()
-    } else {
-        requested
     }
 }
 

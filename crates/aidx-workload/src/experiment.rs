@@ -16,6 +16,7 @@ use crate::parallel_engine::{ParallelChunkEngine, ParallelRangeEngine};
 use crate::query::{Operation, QuerySpec};
 use crate::runner::MultiClientRunner;
 use aidx_core::{Aggregate, CompactionPolicy, LatchProtocol, RefinementPolicy, RunMetrics};
+use aidx_parallel::effective_workers;
 use aidx_storage::generate_unique_shuffled;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -125,15 +126,6 @@ impl Approach {
     }
 }
 
-fn parse_protocol(s: &str) -> Option<LatchProtocol> {
-    match s {
-        "none" => Some(LatchProtocol::None),
-        "column" => Some(LatchProtocol::Column),
-        "piece" => Some(LatchProtocol::Piece),
-        _ => None,
-    }
-}
-
 impl FromStr for Approach {
     type Err = String;
 
@@ -165,7 +157,7 @@ impl FromStr for Approach {
                 Some(proto) => (proto, true),
                 None => (rest, false),
             };
-            let protocol = parse_protocol(proto).ok_or_else(err)?;
+            let protocol = proto.parse::<LatchProtocol>().map_err(|_| err())?;
             return Ok(if skip {
                 Approach::CrackSkipOnContention(protocol)
             } else {
@@ -180,7 +172,7 @@ impl FromStr for Approach {
                 }
                 _ => (rest, 0),
             };
-            let protocol = parse_protocol(proto).ok_or_else(err)?;
+            let protocol = proto.parse::<LatchProtocol>().map_err(|_| err())?;
             return Ok(Approach::ParallelChunk { chunks, protocol });
         }
         if s == "parallel-range" {
@@ -198,15 +190,6 @@ impl FromStr for Approach {
             return Ok(Approach::ParallelRange { partitions });
         }
         Err(err())
-    }
-}
-
-/// Resolves a worker-count knob: `0` means one worker per available core.
-fn effective_workers(requested: usize) -> usize {
-    if requested == 0 {
-        aidx_parallel::available_cores()
-    } else {
-        requested
     }
 }
 

@@ -38,18 +38,25 @@ fn main() {
 
     // ----- Figure 2: database cracking --------------------------------
     println!("== database cracking (Figure 2) ==");
-    let mut cracker = CrackerIndex::from_values(keys.clone());
+    let cracker = ConcurrentCracker::from_values(keys.clone(), LatchProtocol::None);
     for (label, q) in [("d–i", q1), ("f–m", q2)] {
         let (low, high) = to_range(q);
-        let outcome = cracker.crack_select(low, high);
-        let result = &cracker.array().values()[outcome.range.clone()];
+        let (count, metrics) = cracker.count(low, high);
+        // Cracking leaves the qualifying keys in one contiguous piece.
+        let array = cracker.snapshot_values();
+        let start = array
+            .iter()
+            .position(|k| (low..high).contains(k))
+            .unwrap_or(0);
+        let result = &array[start..start + count as usize];
+        assert!(result.iter().all(|k| (low..high).contains(k)));
         println!(
             "query {label}: result '{}' ({} cracks, array now {})",
             keys_to_letters(result),
-            outcome.cracks_performed,
-            keys_to_letters(cracker.array().values())
+            metrics.cracks_performed,
+            keys_to_letters(&array)
         );
-        println!("  pieces: {}", cracker.piece_map().piece_count());
+        println!("  pieces: {}", cracker.piece_count());
     }
 
     // ----- Figure 3: adaptive merging ----------------------------------

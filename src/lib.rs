@@ -79,7 +79,7 @@ pub mod prelude {
         Aggregate, ColumnIndex, ConcurrentAdaptiveMerge, ConcurrentCracker, Count, KeyRuns,
         LatchProtocol, QueryMetrics, ReadShape, RefinementPolicy, RowIdSet, RunMetrics, Sum,
     };
-    pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex, StochasticCracker};
+    pub use aidx_cracking::{ScanBaseline, SortIndex, StochasticCracker};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
     pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};

@@ -199,8 +199,8 @@ fn cracker_registered_through_catalog_and_queried() {
     let catalog = Catalog::new();
     let table = catalog.register_table(table).unwrap();
 
-    let mut cracker = CrackerIndex::from_column(table.column("a").unwrap());
-    let rowids = cracker.select_rowids(2_000, 2_100);
+    let cracker = ConcurrentCracker::from_column(table.column("a").unwrap(), LatchProtocol::None);
+    let rowids = cracker.read::<RowIdSet>(2_000, 2_100, None).0.to_vec();
     let fetched = ops::fetch(table.column("b").unwrap().values(), &rowids);
     let expected: i128 = ops::select_range(&keys, &payload, 2_000, 2_100)
         .iter()
